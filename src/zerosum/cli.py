@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .engine import (
@@ -44,7 +45,7 @@ from .invariants import (
     compute_eta,
     formula_oracle,
 )
-from .search import Budget
+from .search import ORBIT_PRUNING_MAX_ORDER, Budget
 from .sequences import Sequence
 
 EXIT_OK = 0
@@ -53,6 +54,10 @@ EXIT_BUDGET = 2
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
+# Part of a checkpoint's job key; bump it when a stored cursor stack would
+# replay against a different search tree.  Version 2 raised the orbit
+# pruning cap from order 64 to 256, so unversioned checkpoints are refused.
+CHECKPOINT_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,8 +124,13 @@ def _load_checkpoint(path):
 
 
 def _store_checkpoint(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
+    # a crash mid-write leaves the previous checkpoint intact
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +139,19 @@ def _store_checkpoint(path, payload):
 def _cmd_constant(args) -> int:
     group = parse_group(args.group)
     budget = _budget_from(args)
+    job = {"group": list(group.invariant_factors), "kind": args.kind, "k": args.k,
+           "orbit_pruning": not args.no_orbit_pruning,
+           "version": CHECKPOINT_VERSION}
     resume = None
     if args.resume:
         if not args.checkpoint:
             raise InvalidInputError("--resume needs --checkpoint")
         stored = _load_checkpoint(args.checkpoint)
-        job = stored.get("job", {})
-        if job.get("group") != list(group.invariant_factors) or \
-           job.get("kind") != args.kind or job.get("k") != args.k:
-            raise InvalidInputError("checkpoint belongs to a different job")
+        stored_job = stored.get("job", {})
+        differ = sorted(key for key in job if stored_job.get(key) != job[key])
+        if differ:
+            raise InvalidInputError(
+                f"checkpoint belongs to a different job (differs in {', '.join(differ)})")
         resume = stored["search"]
     if args.threads > 1:
         if args.checkpoint or args.resume:
@@ -155,11 +169,7 @@ def _cmd_constant(args) -> int:
     _emit({"command": "constant", "result": record}, args)
     if result.status != "complete":
         if args.checkpoint and result.checkpoint is not None:
-            _store_checkpoint(args.checkpoint, {
-                "job": {"group": list(group.invariant_factors),
-                        "kind": args.kind, "k": args.k},
-                "search": result.checkpoint,
-            })
+            _store_checkpoint(args.checkpoint, {"job": job, "search": result.checkpoint})
         return EXIT_BUDGET
     if record["match"] is False:
         return EXIT_FALSIFIED
@@ -172,7 +182,7 @@ def _parallel_constant(group, args, budget):
 
     from .search import canonical_first_two
 
-    if not args.no_orbit_pruning and 1 < group.order <= 64:
+    if not args.no_orbit_pruning and 1 < group.order <= ORBIT_PRUNING_MAX_ORDER:
         seeds, _ = canonical_first_two(group)
     else:
         seeds = set(range(group.order))

@@ -6,7 +6,8 @@ mixed-radix index in [0, |G|-1]: the residue vector (a_1, ..., a_r) with
 a_i in [0, n_i - 1] encodes as a_1 + n_1*(a_2 + n_2*(a_3 + ...)).
 
 Everything here is immutable after construction and safe to share between
-workers.
+workers; the only mutable state is the lazily filled caches that
+``Group.__init__`` declares, which hold values determined by the group.
 """
 
 from __future__ import annotations
@@ -24,6 +25,23 @@ AUTOMORPHISM_MAX_ORDER = 1 << 6
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+def _unit_generators(m: int) -> list:
+    """Greedy generating set of the unit group mod m (empty for m <= 2)."""
+    gens, span = [], {1}
+    for u in range(2, m):
+        if gcd(u, m) == 1 and u not in span:
+            gens.append(u)
+            frontier = list(span)
+            while frontier:
+                x = frontier.pop()
+                for v in gens:
+                    y = x * v % m
+                    if y not in span:
+                        span.add(y)
+                        frontier.append(y)
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +189,7 @@ class Group:
         self._add_rows = {}
         self._neg_table = None
         self._automorphisms = None
+        self._canonical_first_two = None    # filled by search.canonical_first_two
 
     # -- identity / value semantics
     def __eq__(self, other):
@@ -279,12 +298,44 @@ class Group:
             self._neg_table = [self.neg_index(a) for a in range(self.order)]
         return self._neg_table
 
+    def automorphism_generators(self):
+        """Index-permutation tuples of a generating set of Aut(G).
+
+        On the invariant-factor basis e_1..e_r, of orders n_1 | ... | n_r,
+        each generator adds c times coordinate i to coordinate j:
+        - j == i: the scaling e_i -> u*e_i, c = u - 1, for u in a
+          generating set of the units mod n_i;
+        - j != i: the transvection e_i -> e_i + c*e_j with
+          c = n_j / gcd(n_i, n_j), the least c > 0 for which c*e_j has
+          order dividing n_i; its powers give every other such c.
+        Scalings and transvections generate Aut(G) (Hillar and Rhea,
+        "Automorphisms of finite abelian groups", Amer. Math. Monthly 114
+        (2007)).  Each permutation is checked to be a bijection.
+        """
+        fs = self.invariant_factors
+        moves = [(i, i, u - 1) for i, f in enumerate(fs) for u in _unit_generators(f)]
+        moves += [(i, j, fs[j] // gcd(fs[i], fs[j]))
+                  for i in range(self.rank) for j in range(self.rank) if i != j]
+        residues = [self.residues_of(x) for x in range(self.order)]
+        perms = []
+        for i, j, c in moves:
+            f, s = fs[j], self._strides[j]
+            perm = tuple(x + ((r[j] + c * r[i]) % f - r[j]) * s
+                         for x, r in enumerate(residues))
+            if len(set(perm)) != self.order:
+                raise RuntimeError(
+                    f"generator ({i}, {j}, {c}) of Aut({self.label()}) is not a bijection")
+            perms.append(perm)
+        return perms
+
     def automorphisms(self):
         """All automorphisms as index-permutation tuples (brute force).
 
         Enumerates endomorphisms induced by generator images of admissible
-        order and keeps the bijections.  Capped at order 2**6; intended for
-        orbit pruning, never for correctness.
+        order and keeps the bijections.  Capped at order 2**6.  Searches no
+        longer call it: orbit pruning closes orbits under
+        ``automorphism_generators``, and this list is the reference that
+        tests compare those orbits against.
         """
         if self._automorphisms is None:
             if self.order > AUTOMORPHISM_MAX_ORDER:

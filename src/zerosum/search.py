@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import InvalidInputError
 from .groups import Group
 
-ORBIT_PRUNING_MAX_ORDER = 1 << 6
+ORBIT_PRUNING_MAX_ORDER = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -44,36 +44,55 @@ class DfsOutcome:
     checkpoint: dict | None = None
 
 
+def _orbit_minima(points, images):
+    """Smallest member of each orbit met while sweeping ``points`` upward.
+
+    ``images(x)`` yields the images of x under a generating set; the orbit
+    of the first point not yet reached is closed by search, so that point
+    is its smallest member.
+    """
+    reached = set()
+    minima = []
+    for x in points:
+        if x in reached:
+            continue
+        minima.append(x)
+        reached.add(x)
+        stack = [x]
+        while stack:
+            for y in images(stack.pop()):
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+    return minima
+
+
 def canonical_first_two(group: Group):
-    """Seeds and pairs that are lexicographic minima of their orbits.
+    """Seeds and pairs that are lexicographic minima of their Aut(G)-orbits.
 
     Restricting the two smallest elements of a multiset to canonical
     representatives under Aut(G) preserves the canonical form of every
     multiset, hence preserves maxima and existence questions (not counts).
+    Orbits are closed under ``Group.automorphism_generators``; a finite
+    group is generated as a monoid by any generating set, so these are the
+    Aut(G)-orbits.  Unordered pairs a <= b are coded as a*n + b, which
+    orders them lexicographically.  The result is cached on the group.
     """
-    cached = getattr(group, "_canonical_first_two", None)
-    if cached is not None:
-        return cached
-    perms = group.automorphisms()
-    n = group.order
-    seeds = set()
-    for a in range(n):
-        if min(p[a] for p in perms) == a:
-            seeds.add(a)
-    pairs = set()
-    for a in range(n):
-        for b in range(a, n):
-            best = (a, b)
-            for p in perms:
+    if group._canonical_first_two is None:
+        gens = group.automorphism_generators()
+        n = group.order
+
+        def pair_images(code):
+            a, b = divmod(code, n)
+            for p in gens:
                 x, y = p[a], p[b]
-                if y < x:
-                    x, y = y, x
-                if (x, y) < best:
-                    best = (x, y)
-            if best == (a, b):
-                pairs.add((a, b))
-    group._canonical_first_two = (seeds, pairs)
-    return seeds, pairs
+                yield x * n + y if x <= y else y * n + x
+
+        seeds = set(_orbit_minima(range(n), lambda a: [p[a] for p in gens]))
+        codes = (a * n + b for a in range(n) for b in range(a, n))
+        pairs = {divmod(code, n) for code in _orbit_minima(codes, pair_images)}
+        group._canonical_first_two = (seeds, pairs)
+    return group._canonical_first_two
 
 
 def dfs_run(group: Group, state, *, target_length=None, emit=None,

@@ -82,6 +82,19 @@ def test_resume_rejects_other_job(capsys, tmp_path):
     assert code == 64
 
 
+def test_resume_rejects_other_orbit_pruning(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    code, _ = run_cli(["constant", "--group", "2,2,8", "--kind", "d",
+                       "--budget-nodes", "3000", "--checkpoint", str(ck)], capsys)
+    assert code == 2
+    assert json.loads(ck.read_text())["job"]["orbit_pruning"] is True
+    code, _ = run_cli(["constant", "--group", "2,2,8", "--kind", "d",
+                       "--no-orbit-pruning", "--checkpoint", str(ck), "--resume"],
+                      capsys)
+    assert code == 64
+    assert not (tmp_path / "ck.json.tmp").exists()
+
+
 def test_determinism_modulo_stats(capsys):
     outs = []
     for _ in range(2):
