@@ -241,6 +241,7 @@ def _iter_minimal_zero_sums(group: Group, mult, containing=None, max_len=None):
     path = []
     negs = group.neg_table()
     add_row = group.add_row
+    translate = group.translate_mask
 
     def rec(start, sigma, sums, sigma_proper):
         # sums is an int bitmask over element indices
@@ -260,15 +261,8 @@ def _iter_minimal_zero_sums(group: Group, mult, containing=None, max_len=None):
                         yield tuple(path)
                 else:
                     avail[g] -= 1
-                    row = add_row(g)
-                    new_sigma = row[sigma]
-                    shifted = 0
-                    m = sums
-                    while m:
-                        low = m & -m
-                        shifted |= 1 << row[low.bit_length() - 1]
-                        m ^= low
-                    yield from rec(g, new_sigma, sums | shifted | (1 << g),
+                    new_sigma = add_row(g)[sigma]
+                    yield from rec(g, new_sigma, sums | translate(sums, g) | (1 << g),
                                    sigma_proper or (sums >> new_sigma) & 1)
                     avail[g] += 1
             path.pop()
@@ -330,8 +324,8 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
     soon as no zero-sum of length at most total/needed exists.  With
     ``must_use`` the first part is forced through that element (sound when
     the maximum without it is needed-1).  ``collect`` receives a witness
-    family on success; ``memo`` caches (multiset, needed) decisions and
-    must be None when collecting.
+    family on success; ``memo`` caches (multiset, needed) decisions, of
+    which only refutations are reused while collecting.
     """
     if needed <= 0:
         if collect is not None:
@@ -356,7 +350,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
         if memo is not None:
             key = (bytes(work), needed)
             hit = memo.get(key)
-            if hit is not None:
+            if hit is not None and (collect is None or not hit):
                 return hit
         # a zero-sum short enough to pay for `needed` parts must exist
         limit = total_len // needed
@@ -442,20 +436,16 @@ def max_disjoint_decomposition(seq: Sequence, goal: int) -> DisjointDecompositio
     return decomp
 
 
-def has_disjoint_zero_sums(group: Group, mult, need: int, memo=None) -> bool:
-    """Decision form: do ``need`` disjoint non-empty zero-sums exist?"""
-    return _find_disjoint(group, mult, need, memo=memo)
-
-
-def lifts_disjoint_count(group: Group, mult, g: int, need: int, memo=None) -> bool:
+def lifts_disjoint_count(group: Group, mult, g: int, need: int, memo=None,
+                         collect=None) -> bool:
     """Whether a multiset that just gained a copy of g reaches ``need``
     disjoint zero-sums, given the maximum without that copy is need-1.
 
     Any family of ``need`` disjoint parts must consume every copy of g
     including the new one, so forcing the first part through g is
-    exhaustive.
+    exhaustive.  ``collect`` receives such a family on success.
     """
-    return _find_disjoint(group, mult, need, must_use=g, memo=memo)
+    return _find_disjoint(group, mult, need, collect=collect, must_use=g, memo=memo)
 
 
 # ---------------------------------------------------------------------------

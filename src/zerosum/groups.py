@@ -187,6 +187,7 @@ class Group:
         self._strides = tuple(strides)
         self._add_table = None
         self._add_rows = {}
+        self._mask_shifts = {}
         self._neg_table = None
         self._automorphisms = None
         self._canonical_first_two = None    # filled by search.canonical_first_two
@@ -278,6 +279,39 @@ class Group:
             self._add_rows[g] = row
         return row
 
+    def mask_shifts(self, g: int) -> tuple:
+        """Cached masked shifts that translate an element bitmask by g.
+
+        One ``(lo, up, hi, down)`` per nonzero coordinate c of g, with
+        stride s and factor f: ``lo`` holds the elements whose coordinate
+        is below f - c, which move up by c*s, and ``hi`` the rest, which
+        wrap down by (f - c)*s.  Applying them in turn is
+        ``translate_mask``.
+        """
+        shifts = self._mask_shifts.get(g)
+        if shifts is None:
+            n = self.order
+            full = (1 << n) - 1
+            shifts = []
+            for f, s in zip(self.invariant_factors, self._strides):
+                c = (g // s) % f
+                if c:
+                    # (f - c)*s low bits in every period of f*s bits
+                    lo = ((1 << ((f - c) * s)) - 1) * (full // ((1 << (f * s)) - 1))
+                    shifts.append((lo, c * s, full ^ lo, (f - c) * s))
+            shifts = tuple(shifts)
+            self._mask_shifts[g] = shifts
+        return shifts
+
+    def translate_mask(self, mask: int, g: int) -> int:
+        """The bitmask {x + g : bit x of mask set}."""
+        shifts = self._mask_shifts.get(g)
+        if shifts is None:
+            shifts = self.mask_shifts(g)
+        for lo, up, hi, down in shifts:
+            mask = ((mask & lo) << up) | ((mask & hi) >> down)
+        return mask
+
     def add_table(self):
         """Full addition table, cached; rows are lists indexed by element."""
         if self._add_table is None:
@@ -305,17 +339,22 @@ class Group:
         each generator adds c times coordinate i to coordinate j:
         - j == i: the scaling e_i -> u*e_i, c = u - 1, for u in a
           generating set of the units mod n_i;
-        - j != i: the transvection e_i -> e_i + c*e_j with
+        - j = i +- 1: the transvection e_i -> e_i + c*e_j with
           c = n_j / gcd(n_i, n_j), the least c > 0 for which c*e_j has
           order dividing n_i; its powers give every other such c.
-        Scalings and transvections generate Aut(G) (Hillar and Rhea,
-        "Automorphisms of finite abelian groups", Amer. Math. Monthly 114
-        (2007)).  Each permutation is checked to be a bijection.
+        Scalings and transvections between all pairs i != j generate
+        Aut(G) (Hillar and Rhea, "Automorphisms of finite abelian groups",
+        Amer. Math. Monthly 114 (2007)).  Neighbours suffice: the
+        commutator of e_i -> e_i + a*e_j and e_j -> e_j + b*e_k is
+        e_i -> e_i - ab*e_k, and along a divisor chain the least c of
+        (i, j) times that of (j, k) is the least c of (i, k), both for
+        i < j < k and for i > j > k.  So 2(r-1) transvections replace
+        r(r-1).  Each permutation is checked to be a bijection.
         """
         fs = self.invariant_factors
         moves = [(i, i, u - 1) for i, f in enumerate(fs) for u in _unit_generators(f)]
         moves += [(i, j, fs[j] // gcd(fs[i], fs[j]))
-                  for i in range(self.rank) for j in range(self.rank) if i != j]
+                  for i in range(self.rank) for j in (i - 1, i + 1) if 0 <= j < self.rank]
         residues = [self.residues_of(x) for x in range(self.order)]
         perms = []
         for i, j, c in moves:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import (
+    _reach_masks,
+    extract_lex_smallest,
     has_nonempty_zero_sum,
     has_short_zero_sum,
     has_zero_sum_of_length,
@@ -155,50 +157,101 @@ class _DkState:
 
     The count can only grow by one per appended element, and only when the
     new element closes some zero-sum, i.e. -g is already a subsum; the
-    running subsum bitmask gates the exact lift test.  Decisions are
-    memoized across the whole search.
+    running subsum bitmask ``sums`` gates the lift test.  Each prefix also
+    carries a family of ``count`` disjoint zero-sum parts dividing it, and
+    ``free``, the subsum bitmask of the terms outside that family.  When g
+    is 0 or -g is in ``free``, the family plus a zero-sum through g from
+    the free terms gives count+1 parts, so the count lifts with no search;
+    only otherwise does the exact ``lifts_disjoint_count`` run, with a memo
+    of its sub-decisions kept across the whole search.  Every decision is
+    exact, so the search tree does not depend on which family is carried.
     """
 
-    __slots__ = ("group", "k", "mult", "counts", "sums", "memo")
+    __slots__ = ("group", "k", "mult", "neg", "counts", "sums", "families",
+                 "frees", "memo")
 
     def __init__(self, group: Group, k: int):
         self.group = group
         self.k = k
         self.mult = [0] * group.order
+        self.neg = group.neg_table()
         self.counts = [0]
         self.sums = [0]
+        self.families = [()]
+        self.frees = [0]
         self.memo = {}
 
     def try_push(self, g: int) -> bool:
         count = self.counts[-1]
         sums = self.sums[-1]
-        group = self.group
-        if g == 0 or (sums >> group.neg_table()[g]) & 1:
-            self.mult[g] += 1
-            lifted = lifts_disjoint_count(group, self.mult, g, count + 1,
-                                          memo=self.memo)
-            if lifted:
-                if count + 1 >= self.k:
-                    self.mult[g] -= 1
-                    return False
-                count += 1
+        family = self.families[-1]
+        free = self.frees[-1]
+        translate = self.group.translate_mask
+        neg = self.neg[g]
+        self.mult[g] += 1
+        lifted = False
+        if g == 0 or (free >> neg) & 1:
+            lifted = True
+            found = None
+        elif (sums >> neg) & 1:
+            found = [] if count + 1 < self.k else None
+            lifted = lifts_disjoint_count(self.group, self.mult, g, count + 1,
+                                          memo=self.memo, collect=found)
+        if lifted:
+            if count + 1 >= self.k:
+                self.mult[g] -= 1
+                return False
+            count += 1
+            if found is None:
+                family, free = self._extend(family, g)
+            else:
+                family = tuple(found)
+                free = self._free_mask(self._free_terms(family))
         else:
-            self.mult[g] += 1
-        row = group.add_row(g)
-        shifted = 0
-        m = sums
-        while m:
-            low = m & -m
-            shifted |= 1 << row[low.bit_length() - 1]
-            m ^= low
-        self.sums.append(sums | shifted | (1 << g))
+            free |= translate(free, g) | (1 << g)
         self.counts.append(count)
+        self.sums.append(sums | translate(sums, g) | (1 << g))
+        self.families.append(family)
+        self.frees.append(free)
         return True
+
+    def _free_terms(self, family):
+        work = list(self.mult)
+        for part in family:
+            for i in part:
+                work[i] -= 1
+        return work
+
+    def _free_mask(self, work):
+        translate = self.group.translate_mask
+        free = 0
+        for e, v in enumerate(work):
+            for _ in range(v):
+                free |= translate(free, e) | (1 << e)
+        return free
+
+    def _extend(self, family, g):
+        """The family plus the shortest part through g from the free
+        terms, and the new free mask."""
+        work = self._free_terms(family)
+        work[g] -= 1
+        if g == 0:
+            rest = ()
+        else:
+            neg = self.neg[g]
+            lengths = _reach_masks(self.group, work, sum(work))[neg] & ~1
+            shortest = (lengths & -lengths).bit_length() - 1
+            rest = extract_lex_smallest(self.group, work, shortest, neg)
+            for i in rest:
+                work[i] -= 1
+        return family + (tuple(sorted(rest + (g,))),), self._free_mask(work)
 
     def pop(self, g: int):
         self.mult[g] -= 1
         self.counts.pop()
         self.sums.pop()
+        self.families.pop()
+        self.frees.pop()
 
     def slack(self):
         return None

@@ -204,35 +204,32 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 # Incremental search states
 
 class DavenportState:
-    """Zero-sum-free prefixes; carries the running subsum set.
+    """Zero-sum-free prefixes; carries the running subsum bitmask.
 
     Appending g is legal unless -g is already a subsum (or g is 0).  The
     subsum set of a zero-sum-free sequence grows strictly with each term
     and omits 0, which yields the depth bound used by slack().
     """
 
-    __slots__ = ("group", "stack")
+    __slots__ = ("group", "neg", "stack")
 
     def __init__(self, group: Group):
         self.group = group
-        self.stack = [frozenset()]
+        self.neg = group.neg_table()
+        self.stack = [0]
 
     def try_push(self, g: int) -> bool:
         sums = self.stack[-1]
-        if g == 0 or self.group.neg_index(g) in sums:
+        if g == 0 or (sums >> self.neg[g]) & 1:
             return False
-        row = self.group.add_row(g)
-        new = set(sums)
-        new.update(row[s] for s in sums)
-        new.add(g)
-        self.stack.append(new)
+        self.stack.append(sums | self.group.translate_mask(sums, g) | (1 << g))
         return True
 
     def pop(self, g: int):
         self.stack.pop()
 
     def slack(self):
-        return (self.group.order - 1) - len(self.stack[-1])
+        return (self.group.order - 1) - self.stack[-1].bit_count()
 
 
 class ReachState:

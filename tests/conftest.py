@@ -1,5 +1,6 @@
 """Shared brute-force oracles, independent of the library's code paths."""
 
+import functools
 import itertools
 
 import pytest
@@ -56,24 +57,20 @@ def brute_minimal_zero_sums(seq):
 
 
 def brute_max_disjoint(seq, cap=12):
-    """Exact disjoint zero-sum count by unpruned recursion over minimal
-    zero-sum removals."""
-    from zerosum.engine import _iter_minimal_zero_sums
-
+    """Exact disjoint zero-sum count by unpruned recursion over removals
+    of minimal zero-sums, which brute_minimal_zero_sums lists."""
     group = seq.group
 
+    @functools.lru_cache(maxsize=None)
     def rec(mult):
         best = 0
-        for part in _iter_minimal_zero_sums(group, mult):
-            nxt = list(mult)
-            for i in part:
-                nxt[i] -= 1
-            best = max(best, 1 + rec(nxt))
+        for part in brute_minimal_zero_sums(Sequence(group, mult)):
+            best = max(best, 1 + rec(tuple(v - c for v, c in zip(mult, part))))
             if best >= cap:
                 return best
         return best
 
-    return min(cap, rec(list(seq.mult)))
+    return min(cap, rec(seq.mult))
 
 
 def random_sequence(rng, group, max_len):

@@ -72,6 +72,28 @@ def test_checkpoint_resume_round_trip(capsys, tmp_path):
     assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
 
 
+def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
+    args = ["constant", "--group", "2,2,2", "--kind", "dk", "--k", "3"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    full = json.loads(out)["result"]
+
+    ck = tmp_path / "ck.json"
+    code, out = run_cli(args + ["--budget-nodes", "300", "--checkpoint", str(ck)],
+                        capsys)
+    rounds = 0
+    while code == 2:
+        code, out = run_cli(args + ["--budget-nodes", "300", "--checkpoint", str(ck),
+                                    "--resume"], capsys)
+        rounds += 1
+        assert rounds < 40
+    assert code == 0 and rounds >= 5
+    resumed = json.loads(out)["result"]
+    assert resumed["value"] == full["value"] == 9
+    assert resumed["witness"] == full["witness"]
+    assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
+
+
 def test_resume_rejects_other_job(capsys, tmp_path):
     ck = tmp_path / "ck.json"
     code, _ = run_cli(["constant", "--group", "2,4,4", "--kind", "d",

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -255,3 +256,23 @@ def test_canonical_invariant_factors_direct():
     assert canonical_invariant_factors([30, 12]) == (6, 60)
     assert canonical_invariant_factors([2, 2, 3]) == (2, 6)
     assert canonical_invariant_factors([1, 1]) == ()
+
+
+@pytest.mark.parametrize("factors", [[8], [2, 6], [2, 2, 4], [4, 4, 4], [2, 2, 2, 8]],
+                         ids=str)
+def test_mask_shifts_translate_like_add_row(factors):
+    group = make_group(factors)
+    n = group.order
+    rng = random.Random(n)
+    for g in range(n):
+        row = group.add_row(g)
+        for _ in range(4):
+            mask = rng.getrandbits(n)
+            want = sum(1 << row[x] for x in range(n) if (mask >> x) & 1)
+            got = mask
+            for lo, up, hi, down in group.mask_shifts(g):
+                got = ((got & lo) << up) | ((got & hi) >> down)
+            assert got == want
+            assert group.translate_mask(mask, g) == want
+    assert group.mask_shifts(0) == ()
+    assert group.mask_shifts(1) is group.mask_shifts(1)

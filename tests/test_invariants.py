@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import zerosum.invariants as invariants
 from zerosum import (
     Budget,
     InvalidInputError,
@@ -21,6 +22,9 @@ from zerosum import (
     max_disjoint_zero_sums,
     property_d_known,
 )
+from zerosum.search import dfs_run
+
+from conftest import brute_max_disjoint
 
 
 def test_property_d_known_set():
@@ -249,3 +253,109 @@ def test_result_json_shape():
     assert payload["status"] == "complete"
     assert set(payload["stats"]) == {"nodes", "seconds"}
     assert payload["witness"]["group"] == [2, 4]
+
+
+# value, witness as sorted indices, and node count of searches whose tree
+# must not change when their pruning state changes representation
+PINNED_SEARCHES = [
+    ([2, 4, 4], "d", None, 8, [1, 2, 2, 2, 8, 8, 8], 173415),
+    ([2, 2, 8], "d", None, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 328912),
+    ([2, 2, 2], "dk", 2, 7, [1, 2, 3, 4, 5, 6], 376),
+    ([2, 2, 2], "dk", 3, 9, [1, 1, 1, 2, 3, 4, 5, 6], 2585),
+    ([2, 2, 2], "dk", 4, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 11382),
+    ([2, 2, 4], "dk", 2, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 72977),
+]
+
+
+@pytest.mark.parametrize(
+    "factors,kind,k,value,witness,nodes", PINNED_SEARCHES,
+    ids=["x".join(f"C{f}" for f in case[0]) + f"-{case[1]}{case[2] or ''}"
+         for case in PINNED_SEARCHES])
+def test_pinned_search_trees(factors, kind, k, value, witness, nodes):
+    res = compute(make_group(factors), kind, k=k)
+    assert res.value == value
+    assert res.witness == Sequence.from_indices(res.group, witness)
+    assert res.stats.nodes == nodes
+
+
+def _check_carried_family(state, prefix):
+    """The top of a _DkState stack: ``count`` disjoint zero-sum parts that
+    divide the prefix, and the subsum masks of the prefix and of the terms
+    outside the family, recomputed with sets."""
+    group = state.group
+
+    def subsum_mask(terms):
+        sums = set()
+        for t in terms:
+            sums |= {group.add_index(s, t) for s in sums} | {t}
+        return sum(1 << e for e in sums)
+
+    count, family = state.counts[-1], state.families[-1]
+    assert len(family) == count
+    free = list(prefix)
+    for part in family:
+        assert part and Sequence.from_indices(group, part).sum().index == 0
+        for i in part:
+            free.remove(i)
+    assert state.frees[-1] == subsum_mask(free)
+    assert state.sums[-1] == subsum_mask(prefix)
+    return count
+
+
+def test_dk_state_carries_a_maximum_disjoint_family(small_groups):
+    rng = random.Random(41)
+    for _ in range(150):
+        group = rng.choice(small_groups)
+        k = rng.randint(2, 5)
+        state = invariants._DkState(group, k)
+        prefix = []
+        for _ in range(rng.randint(1, 10)):
+            if prefix and rng.random() < 0.2:
+                state.pop(prefix.pop())
+                continue
+            g = rng.randrange(group.order)
+            grown = Sequence.from_indices(group, prefix + [g])
+            if not state.try_push(g):
+                assert brute_max_disjoint(grown) >= k
+                assert len(state.counts) == len(prefix) + 1
+                continue
+            prefix.append(g)
+            assert _check_carried_family(state, prefix) == brute_max_disjoint(grown) < k
+
+
+def test_dk_search_carries_families_from_both_lift_paths(monkeypatch):
+    # D_3(C6) takes both paths: the cheap lift through the free terms, and
+    # the exhaustive lift whose family the state then carries
+    collected = []
+    lifts = invariants.lifts_disjoint_count
+
+    def counting_lifts(*args, collect=None, **kwargs):
+        lifted = lifts(*args, collect=collect, **kwargs)
+        if lifted and collect is not None:
+            collected.append(tuple(collect))
+        return lifted
+
+    monkeypatch.setattr(invariants, "lifts_disjoint_count", counting_lifts)
+
+    class Checked(invariants._DkState):
+        __slots__ = ("path",)
+
+        def __init__(self, group, k):
+            super().__init__(group, k)
+            self.path = []
+
+        def try_push(self, g):
+            if not super().try_push(g):
+                return False
+            self.path.append(g)
+            _check_carried_family(self, self.path)
+            return True
+
+        def pop(self, g):
+            super().pop(g)
+            self.path.pop()
+
+    group = make_group([6])
+    out = dfs_run(group, Checked(group, 3), orbit_pruning=True)
+    assert (out.best + 1, out.stats.nodes) == (18, 2551)
+    assert collected

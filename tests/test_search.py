@@ -9,7 +9,7 @@ from zerosum.search import Budget, canonical_first_two, dfs_run
 BRUTE_FORCE_GROUPS = [
     [2], [3], [4], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8], [3, 6],
     [2, 2, 2], [2, 2, 4], [2, 2, 6], [2, 2, 8], [2, 4, 4], [4, 8], [2, 16],
-    [3, 9], [5, 5], [6, 6],
+    [3, 9], [5, 5], [6, 6], [2, 2, 2, 2],
 ]
 
 
