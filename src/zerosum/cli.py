@@ -44,6 +44,7 @@ from .invariants import (
     compute,
     compute_eta,
     formula_oracle,
+    rank_two_split,
 )
 from .search import ORBIT_PRUNING_MAX_ORDER, Budget
 from .sequences import Sequence
@@ -84,10 +85,8 @@ def _emit(payload: dict, args) -> None:
         if args.format == "json":
             json.dump(payload, out, indent=2, sort_keys=True)
             out.write("\n")
-        elif args.format == "csv":
-            _emit_csv(payload, out)
         else:
-            _emit_text(payload, out)
+            _emit_csv(payload, out)
     finally:
         if close:
             out.close()
@@ -113,11 +112,6 @@ def _emit_csv(payload: dict, out) -> None:
         writer.writerow(row)
 
 
-def _emit_text(payload: dict, out) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True, default=str)
-    out.write("\n")
-
-
 def _load_checkpoint(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -131,6 +125,17 @@ def _store_checkpoint(path, payload):
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _checked_record(result) -> dict:
+    """A search result's record with its closed-form value and whether the
+    two agree (None when no formula covers it or the search is partial)."""
+    formula = formula_oracle(result.group, result.kind, result.k)
+    record = result.to_json()
+    record["formula"] = formula
+    record["match"] = (None if formula is None or result.status != "complete"
+                       else formula == result.value)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +166,7 @@ def _cmd_constant(args) -> int:
         result = compute(group, args.kind, k=args.k, budget=budget,
                          orbit_pruning=not args.no_orbit_pruning,
                          resume=resume)
-    formula = formula_oracle(group, args.kind, args.k)
-    record = result.to_json()
-    record["formula"] = formula
-    record["match"] = (None if formula is None or result.status != "complete"
-                       else formula == result.value)
+    record = _checked_record(result)
     _emit({"command": "constant", "result": record}, args)
     if result.status != "complete":
         if args.checkpoint and result.checkpoint is not None:
@@ -240,7 +241,6 @@ def _cmd_witness(args) -> int:
                     and seq.sum() == -seq.group.element([0, 0, 1])
                     and max_disjoint_zero_sums(seq, args.k) < args.k)
     else:
-        from .extremal import rank_two_split
         m, n = rank_two_split(group)
         b1 = group.element(_parse_residues(args.b1)) if args.b1 else \
             group.element([1, 0] if group.rank == 2 else ([0] if group.rank else []))
@@ -383,11 +383,7 @@ def _cmd_report(args) -> int:
         group = parse_group(factors)
         res = compute(group, kind, k=k, budget=budget,
                       orbit_pruning=not args.no_orbit_pruning)
-        formula = formula_oracle(group, kind, k)
-        record = res.to_json()
-        record["formula"] = formula
-        record["match"] = (None if formula is None or res.status != "complete"
-                           else formula == res.value)
+        record = _checked_record(res)
         results.append(record)
         if res.status != "complete":
             worst = max(worst, EXIT_BUDGET)
@@ -403,7 +399,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, budget=True):
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", help="write the report to a file")
         if budget:
             p.add_argument("--budget-nodes", type=int, default=None)

@@ -2,12 +2,14 @@
 
 The workhorse is a bounded-multiplicity subset-sum table: for every group
 element it records the set of subsequence lengths realizing that element
-as a subsum.  Every detector (non-empty zero-sum, short zero-sum, fixed
-length zero-sum) reduces to one query against that table.  On top of it
-sit minimal zero-sum enumeration, an exact branch-and-bound count of
-disjoint zero-sum subsequences, the quotient-projection partition used by
-the inductive method, and the constructive extraction of a zero-sum of
-length exp(G) from a long sequence.
+as a subsum, packed into one int (``_layout``); each copy of an element
+is added by one ``Group.translate_mask``.  Every detector (non-empty
+zero-sum, short zero-sum, fixed length zero-sum) reduces to one query
+against that table.  On top of it sit minimal zero-sum enumeration, an
+exact branch-and-bound count of disjoint zero-sum subsequences, the
+quotient-projection partition used by the inductive method, and the
+constructive extraction of a zero-sum of length exp(G) from a long
+sequence.
 
 All operations are pure functions of their inputs.
 """
@@ -15,6 +17,7 @@ All operations are pure functions of their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError, InvalidInputError
 from .groups import Group, QuotientMap, Subgroup, quotient
@@ -26,37 +29,59 @@ MINIMAL_ENUM_MAX_LEN = 64
 # ---------------------------------------------------------------------------
 # Reach table
 
-def _reach_masks(group: Group, mult, max_len: int, hom=None, image_group: Group = None):
-    """Length-set bitmasks: bit L of masks[e] means some sub-multiset of
-    length L sums to e.  With ``hom`` the sums live in ``image_group``.
+@lru_cache(maxsize=None)
+def _layout(order: int, max_len: int):
+    """Slot width and length-step mask of a packed reach table.
 
-    Processes one distinct element at a time; each copy is one monotone
-    update pass, so multiplicities are respected exactly.
+    A packed table is one int with a slot of width = max_len + 1 bits per
+    element: bit e*width + L is set when some sub-multiset of length L
+    sums to e.  ``keep`` clears the top length bit of every slot, so
+    ``(T & keep) << 1`` makes every length one longer without leaving its
+    slot, and one copy of g turns T into
+    ``T | translate_mask((T & keep) << 1, g, width)``.
+    """
+    width = max_len + 1
+    ones = ((1 << (order * width)) - 1) // ((1 << width) - 1)
+    return width, ((1 << max_len) - 1) * ones
+
+
+def _slot(table: int, e: int, max_len: int) -> int:
+    """Length bitmask of element e in a packed table: bit L is set when
+    some sub-multiset of length L sums to e."""
+    width = max_len + 1
+    return (table >> (e * width)) & ((1 << width) - 1)
+
+
+def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Group = None):
+    """The support of ``mult`` and the packed tables of its tails.
+
+    ``tables[k]`` is the table of the sub-multiset on ``support[k:]``, so
+    ``tables[0]`` covers the whole multiset.  With ``hom`` the sums live in
+    ``image_group``.  Each copy of an element is one monotone step, so
+    multiplicities are respected exactly; a copy that adds nothing ends
+    its element, since every later copy would add nothing too.
     """
     target = image_group if hom is not None else group
-    cap = (1 << (max_len + 1)) - 1
-    masks = [0] * target.order
-    masks[0] = 1
-    for g, v in enumerate(mult):
-        if not v:
-            continue
+    width, keep = _layout(target.order, max_len)
+    translate = target.translate_mask
+    support = [g for g, v in enumerate(mult) if v]
+    table = 1
+    tables = [table]
+    for g in reversed(support):
         img = hom[g] if hom is not None else g
-        row = target.add_row(img)
-        for _ in range(v):
-            new = masks[:]
-            changed = False
-            for s, m in enumerate(masks):
-                if m:
-                    shifted = (m << 1) & cap
-                    if shifted:
-                        t = row[s]
-                        if shifted | new[t] != new[t]:
-                            new[t] |= shifted
-                            changed = True
-            if not changed:
+        for _ in range(mult[g]):
+            new = table | translate((table & keep) << 1, img, width)
+            if new == table:
                 break
-            masks = new
-    return masks
+            table = new
+        tables.append(table)
+    tables.reverse()
+    return support, tables
+
+
+def _reach_masks(group: Group, mult, max_len: int, hom=None, image_group: Group = None) -> int:
+    """Packed reach table of the whole multiset (see ``_layout``)."""
+    return _suffix_tables(group, mult, max_len, hom, image_group)[1][0]
 
 
 @dataclass(frozen=True)
@@ -97,8 +122,9 @@ class ReachTable:
 def reach_table(seq: Sequence, max_len: int) -> ReachTable:
     if max_len < 0:
         raise InvalidInputError("negative length bound")
-    masks = _reach_masks(seq.group, seq.mult, max_len)
-    return ReachTable(seq.group, max_len, tuple(masks))
+    table = _reach_masks(seq.group, seq.mult, max_len)
+    masks = tuple(_slot(table, e, max_len) for e in range(seq.group.order))
+    return ReachTable(seq.group, max_len, masks)
 
 
 def restricted_sums(seq: Sequence, length: int) -> set:
@@ -115,14 +141,14 @@ def sums_of_length(seq: Sequence, length: int) -> set:
 # Zero-sum detectors
 
 def has_nonempty_zero_sum(seq: Sequence) -> bool:
-    masks = _reach_masks(seq.group, seq.mult, len(seq))
-    return bool(masks[0] & ~1)
+    table = _reach_masks(seq.group, seq.mult, len(seq))
+    return bool(_slot(table, 0, len(seq)) & ~1)
 
 
 def has_short_zero_sum(seq: Sequence) -> bool:
     bound = min(seq.group.exponent, len(seq))
-    masks = _reach_masks(seq.group, seq.mult, bound)
-    return bool(masks[0] & ~1)
+    table = _reach_masks(seq.group, seq.mult, bound)
+    return bool(_slot(table, 0, bound) & ~1)
 
 
 def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
@@ -130,8 +156,8 @@ def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
         return True
     if k < 0 or k > len(seq):
         return False
-    masks = _reach_masks(seq.group, seq.mult, k)
-    return bool((masks[0] >> k) & 1)
+    table = _reach_masks(seq.group, seq.mult, k)
+    return bool((_slot(table, 0, k) >> k) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +174,9 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
     target_group = image_group if hom is not None else group
     if length == 0:
         return () if target == 0 else None
-    support = [g for g, v in enumerate(mult) if v]
-    # suffix[k] = reach masks of the sub-multiset on support[k:]
-    suffix = [None] * (len(support) + 1)
-    empty = [0] * target_group.order
-    empty[0] = 1
-    suffix[len(support)] = empty
-    cap = (1 << (length + 1)) - 1
-    for k in range(len(support) - 1, -1, -1):
-        g = support[k]
-        img = hom[g] if hom is not None else g
-        row = target_group.add_row(img)
-        masks = suffix[k + 1][:]
-        for _ in range(mult[g]):
-            new = masks[:]
-            changed = False
-            for s, m in enumerate(masks):
-                if m:
-                    shifted = (m << 1) & cap
-                    if shifted and shifted | new[row[s]] != new[row[s]]:
-                        new[row[s]] |= shifted
-                        changed = True
-            if not changed:
-                break
-            masks = new
-        suffix[k] = masks
-    if not ((suffix[0][target] >> length) & 1):
+    # suffix[k] = packed table of the sub-multiset on support[k:]
+    support, suffix = _suffix_tables(group, mult, length, hom, image_group)
+    if not (_slot(suffix[0], target, length) >> length) & 1:
         return None
     chosen = []
     remaining = length
@@ -189,7 +192,7 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
         cur = target_group.add_index(tgt, target_group.neg_index(shift))
         for c in range(c_max, -1, -1):
             need = remaining - c
-            if (suffix[k + 1][cur] >> need) & 1:
+            if (_slot(suffix[k + 1], cur, length) >> need) & 1:
                 best_c = c
                 break
             cur = target_group.add_index(cur, img)
@@ -202,22 +205,6 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
     if remaining:
         return None
     return tuple(chosen)
-
-
-def _max_zero_length(masks, cap: int) -> int:
-    m = masks[0]
-    for L in range(cap, 0, -1):
-        if (m >> L) & 1:
-            return L
-    return 0
-
-
-def _min_zero_length(masks, cap: int):
-    m = masks[0]
-    for L in range(1, cap + 1):
-        if (m >> L) & 1:
-            return L
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +341,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
                 return hit
         # a zero-sum short enough to pay for `needed` parts must exist
         limit = total_len // needed
-        masks = _reach_masks(group, work, limit)
-        if not masks[0] & ~1:
+        if not _slot(_reach_masks(group, work, limit), 0, limit) & ~1:
             if memo is not None:
                 memo[key] = False
             return False
@@ -493,10 +479,11 @@ def inductive_partition(seq: Sequence, sub: Subgroup) -> InductivePartition:
     remaining = len(seq)
     blocks = []
     while remaining:
-        masks = _reach_masks(group, work, min(bound, remaining), hom, target)
-        shortest = _min_zero_length(masks, min(bound, remaining))
-        if shortest is None:
+        cap = min(bound, remaining)
+        zero = _slot(_reach_masks(group, work, cap, hom, target), 0, cap) & ~1
+        if not zero:
             break
+        shortest = (zero & -zero).bit_length() - 1
         picked = extract_lex_smallest(group, work, shortest, 0, hom, target)
         blocks.append(Sequence.from_indices(group, picked))
         for i in picked:
@@ -524,11 +511,11 @@ def _check_pilot_premises(seq: Sequence, pilot: Sequence, anchor, eta: int,
     if not pilot.divides(seq):
         raise InvalidInputError("pilot subsequence does not divide the sequence")
     a = group.element(anchor)
-    masks = _reach_masks(group, pilot.mult, len(pilot))
+    table = _reach_masks(group, pilot.mult, len(pilot))
     jh = 0
     for j in range(1, len(pilot) + 1):
         jh = group.add_index(jh, a.index)
-        if not (masks[jh] >> j) & 1:
+        if not (_slot(table, jh, len(pilot)) >> j) & 1:
             raise InvalidInputError(
                 f"j*h is not a length-j subsum of the pilot for j={j}")
     if len(pilot) < (group.exponent - 1) // 2:
@@ -556,8 +543,7 @@ def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int
     shifted_pilot = pilot.translate(-a)
     rest = shifted_seq.quotient(shifted_pilot)
     cap = min(exp, len(rest))
-    masks = _reach_masks(group, rest.mult, cap)
-    tlen = _max_zero_length(masks, cap)
+    tlen = _slot(_reach_masks(group, rest.mult, cap), 0, cap).bit_length() - 1
     if len(pilot) >= exp - tlen:
         t_part = extract_lex_smallest(group, rest.mult, tlen, 0) if tlen else ()
         c_part = extract_lex_smallest(group, shifted_pilot.mult, exp - tlen, 0)
@@ -591,8 +577,7 @@ def extract_short_zero_sum_free(seq: Sequence, pilot: Sequence, anchor, eta: int
     shifted_pilot = pilot.translate(-a)
     rest = shifted_seq.quotient(shifted_pilot)
     cap = min(exp, len(rest))
-    masks = _reach_masks(group, rest.mult, cap)
-    tlen = _max_zero_length(masks, cap)
+    tlen = _slot(_reach_masks(group, rest.mult, cap), 0, cap).bit_length() - 1
     if len(pilot) >= exp - tlen:
         return ExtractionFailure(
             "exp-free-premise",

@@ -23,25 +23,13 @@ from math import gcd
 from .engine import reach_table
 from .errors import InvalidInputError
 from .groups import Element, Group, Subgroup, enumerate_subgroups, make_group, subgroup_generated_by
-from .invariants import KIND_ETA, KIND_S, formula_oracle, property_d_known
+from .invariants import KIND_ETA, KIND_S, formula_oracle, property_d_known, rank_two_split
 from .search import Budget, SearchStats, dfs_run, exact_length_state, short_zero_sum_state
 from .sequences import Sequence
 
 
 # ---------------------------------------------------------------------------
 # Parameters
-
-def rank_two_split(group: Group):
-    """(m, n) with group = C_m + C_mn; rejects rank > 2."""
-    f = group.invariant_factors
-    if len(f) > 2:
-        raise InvalidInputError(f"{group.label()} has rank above two")
-    if len(f) == 0:
-        return 1, 1
-    if len(f) == 1:
-        return 1, f[0]
-    return f[0], f[1] // f[0]
-
 
 @dataclass(frozen=True)
 class RankTwoParams:

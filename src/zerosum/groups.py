@@ -18,7 +18,6 @@ from math import gcd
 
 from .errors import CapacityError, InvalidInputError
 
-ADD_TABLE_MAX_ORDER = 1 << 12
 SUBGROUP_ENUM_MAX_ORDER = 1 << 12
 AUTOMORPHISM_MAX_ORDER = 1 << 6
 
@@ -185,7 +184,6 @@ class Group:
         self.order = order
         self.exponent = factors[-1] if factors else 1
         self._strides = tuple(strides)
-        self._add_table = None
         self._add_rows = {}
         self._mask_shifts = {}
         self._neg_table = None
@@ -279,53 +277,45 @@ class Group:
             self._add_rows[g] = row
         return row
 
-    def mask_shifts(self, g: int) -> tuple:
-        """Cached masked shifts that translate an element bitmask by g.
+    def mask_shifts(self, g: int, width: int = 1) -> tuple:
+        """Cached masked shifts that translate a slot bitmask by g.
 
-        One ``(lo, up, hi, down)`` per nonzero coordinate c of g, with
-        stride s and factor f: ``lo`` holds the elements whose coordinate
-        is below f - c, which move up by c*s, and ``hi`` the rest, which
-        wrap down by (f - c)*s.  Applying them in turn is
+        The mask holds one slot of ``width`` bits per element, slot x at
+        bits x*width onwards; width 1 is an element bitmask.  One
+        ``(lo, up, hi, down)`` per nonzero coordinate c of g, with stride
+        s and factor f: ``lo`` holds the slots whose coordinate is below
+        f - c, which move up by c*s slots, and ``hi`` the rest, which wrap
+        down by (f - c)*s slots.  Applying them in turn is
         ``translate_mask``.
         """
-        shifts = self._mask_shifts.get(g)
+        key = g if width == 1 else (g, width)
+        shifts = self._mask_shifts.get(key)
         if shifts is None:
-            n = self.order
-            full = (1 << n) - 1
+            full = (1 << (self.order * width)) - 1
             shifts = []
             for f, s in zip(self.invariant_factors, self._strides):
                 c = (g // s) % f
                 if c:
+                    s *= width
                     # (f - c)*s low bits in every period of f*s bits
                     lo = ((1 << ((f - c) * s)) - 1) * (full // ((1 << (f * s)) - 1))
                     shifts.append((lo, c * s, full ^ lo, (f - c) * s))
             shifts = tuple(shifts)
-            self._mask_shifts[g] = shifts
+            self._mask_shifts[key] = shifts
         return shifts
 
-    def translate_mask(self, mask: int, g: int) -> int:
-        """The bitmask {x + g : bit x of mask set}."""
-        shifts = self._mask_shifts.get(g)
+    def translate_mask(self, mask: int, g: int, width: int = 1) -> int:
+        """The slot bitmask with slot x + g holding slot x of ``mask``.
+
+        With width 1 this is the element bitmask {x + g : bit x of mask
+        set}.  Every subsum update of the package goes through here.
+        """
+        shifts = self._mask_shifts.get(g if width == 1 else (g, width))
         if shifts is None:
-            shifts = self.mask_shifts(g)
+            shifts = self.mask_shifts(g, width)
         for lo, up, hi, down in shifts:
             mask = ((mask & lo) << up) | ((mask & hi) >> down)
         return mask
-
-    def add_table(self):
-        """Full addition table, cached; rows are lists indexed by element."""
-        if self._add_table is None:
-            if self.order > ADD_TABLE_MAX_ORDER:
-                raise CapacityError(
-                    f"addition table capped at order {ADD_TABLE_MAX_ORDER}, got {self.order}"
-                )
-            n = self.order
-            table = []
-            for a in range(n):
-                row = [self.add_index(a, b) for b in range(n)]
-                table.append(row)
-            self._add_table = table
-        return self._add_table
 
     def neg_table(self):
         if self._neg_table is None:
@@ -654,9 +644,6 @@ class QuotientMap:
     kernel: Subgroup
     target: Group
     table: tuple
-
-    def apply_index(self, idx: int) -> int:
-        return self.table[idx]
 
     def apply(self, g) -> Element:
         return self.target.element(self.table[self.source.element(g).index])

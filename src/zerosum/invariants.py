@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .engine import (
     _reach_masks,
+    _slot,
     extract_lex_smallest,
     has_nonempty_zero_sum,
     has_short_zero_sum,
@@ -53,16 +54,16 @@ def property_d_known(m: int) -> bool:
     return m == 1
 
 
-def _rank_two_params(group: Group):
-    """(m, n) with group = C_m + C_mn, or None above rank two."""
+def rank_two_split(group: Group):
+    """(m, n) with group = C_m + C_mn; rejects rank > 2."""
     f = group.invariant_factors
+    if len(f) > 2:
+        raise InvalidInputError(f"{group.label()} has rank above two")
     if len(f) == 0:
         return 1, 1
     if len(f) == 1:
         return 1, f[0]
-    if len(f) == 2:
-        return f[0], f[1] // f[0]
-    return None
+    return f[0], f[1] // f[0]
 
 
 def _rank_three_params(group: Group):
@@ -81,9 +82,8 @@ def formula_oracle(group: Group, kind: str, k: int | None = None):
     """
     if kind == KIND_DK and (k is None or k < 1):
         raise InvalidInputError("kind 'dk' needs k >= 1")
-    two = _rank_two_params(group)
-    if two is not None:
-        m, n = two
+    if group.rank <= 2:
+        m, n = rank_two_split(group)
         if kind == KIND_D:
             return m + m * n - 1
         if kind == KIND_DK:
@@ -239,7 +239,8 @@ class _DkState:
             rest = ()
         else:
             neg = self.neg[g]
-            lengths = _reach_masks(self.group, work, sum(work))[neg] & ~1
+            total = sum(work)
+            lengths = _slot(_reach_masks(self.group, work, total), neg, total) & ~1
             shortest = (lengths & -lengths).bit_length() - 1
             rest = extract_lex_smallest(self.group, work, shortest, neg)
             for i in rest:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .engine import _layout
 from .errors import InvalidInputError
 from .groups import Group
 
@@ -235,32 +236,25 @@ class DavenportState:
 class ReachState:
     """Prefixes carrying a length-bounded subsum table.
 
-    ``forbidden`` is a bitmask over lengths; a push creating any forbidden
-    length at element 0 is rejected.  Covers both the short-zero-sum and
-    the exact-exp-length detectors.
+    Each stack entry is a packed reach table (``engine._layout``), and a
+    push adds one copy of g with one translate.  ``forbidden`` is a
+    bitmask over lengths; a push creating any forbidden length at element
+    0, the table's lowest slot, is rejected.  Covers both the
+    short-zero-sum and the exact-exp-length detectors.
     """
 
-    __slots__ = ("group", "cap", "forbidden", "stack")
+    __slots__ = ("group", "width", "keep", "forbidden", "stack")
 
     def __init__(self, group: Group, max_len: int, forbidden: int):
         self.group = group
-        self.cap = (1 << (max_len + 1)) - 1
+        self.width, self.keep = _layout(group.order, max_len)
         self.forbidden = forbidden
-        first = [0] * group.order
-        first[0] = 1
-        self.stack = [first]
+        self.stack = [1]
 
     def try_push(self, g: int) -> bool:
-        masks = self.stack[-1]
-        row = self.group.add_row(g)
-        cap = self.cap
-        new = masks[:]
-        for s, m in enumerate(masks):
-            if m:
-                shifted = (m << 1) & cap
-                if shifted:
-                    new[row[s]] |= shifted
-        if new[0] & self.forbidden:
+        table = self.stack[-1]
+        new = table | self.group.translate_mask((table & self.keep) << 1, g, self.width)
+        if new & self.forbidden:
             return False
         self.stack.append(new)
         return True

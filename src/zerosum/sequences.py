@@ -113,12 +113,6 @@ class Sequence:
     def terms(self):
         return [(self.group.element(i), v) for i, v in enumerate(self.mult) if v]
 
-    def sorted_indices(self) -> tuple:
-        out = []
-        for i, v in enumerate(self.mult):
-            out.extend([i] * v)
-        return tuple(out)
-
     def sum(self) -> Element:
         acc = 0
         group = self.group

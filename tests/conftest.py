@@ -25,6 +25,15 @@ def brute_subsums(seq):
     return out
 
 
+def unpack_table(table, order, max_len):
+    """Element -> set of lengths of a packed reach table, read bit by bit
+    from its layout: bit e*(max_len+1) + L for length L at element e."""
+    width = max_len + 1
+    assert table >> (order * width) == 0
+    return {e: {L for L in range(width) if (table >> (e * width + L)) & 1}
+            for e in range(order)}
+
+
 def brute_minimal_zero_sums(seq):
     """All minimal zero-sum sub-multisets as multiplicity tuples."""
     group = seq.group

@@ -110,22 +110,23 @@ def test_criterion_1_formula_reproduction_by_search():
     s_elapsed = time.time() - t0
     assert s_elapsed < 1800, f"s block took {s_elapsed:.0f}s"
 
-    # multiwise Davenport constants and the arithmetic tail
+    # multiwise Davenport constants and the arithmetic tail; each tail
+    # searches D_1..D_horizon once, and those values are checked here
     t0 = time.time()
+    for factors, horizon, expect, d0, kd in (
+            ([2, 2, 2], 4, [4, 7, 9, 11], 3, 2),
+            ([2, 2, 4], 3, [6, 10, 14], 2, 1)):
+        group = make_group(factors)
+        tail = detect_arithmetic_tail(group, horizon)
+        oracle = [formula_oracle(group, "dk", k) for k in range(1, horizon + 1)]
+        assert tail.dk_values == expect == oracle, \
+            f"dk({group.label()}): search={tail.dk_values} formula={oracle} expected={expect}"
+        assert (tail.d0, tail.kd, tail.status) == (d0, kd, "provisional")
     dk_entries = []
     for n in range(2, 7):
         for k in (1, 2, 3):
             dk_entries.append(([n], k, k * n))
-    dk_entries += [
-        ([2, 2, 2], 1, 4), ([2, 2, 2], 2, 7), ([2, 2, 2], 3, 9), ([2, 2, 2], 4, 11),
-        ([2, 2, 4], 1, 6), ([2, 2, 4], 2, 10), ([2, 2, 4], 3, 14),
-    ]
     _check_block(dk_entries, "dk")
-
-    tail = detect_arithmetic_tail(make_group([2, 2, 2]), 4)
-    assert (tail.d0, tail.kd, tail.status) == (3, 2, "provisional")
-    tail = detect_arithmetic_tail(make_group([2, 2, 4]), 3)
-    assert (tail.d0, tail.kd, tail.status) == (2, 1, "provisional")
     dk_elapsed = time.time() - t0
     assert dk_elapsed < 600, f"dk block took {dk_elapsed:.0f}s"
 

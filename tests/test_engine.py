@@ -7,6 +7,7 @@ from zerosum import (
     InvalidInputError,
     Sequence,
     enumerate_minimal_zero_sums,
+    enumerate_subgroups,
     extract_exp_length_zero_sum,
     extract_short_zero_sum_free,
     has_nonempty_zero_sum,
@@ -16,11 +17,12 @@ from zerosum import (
     make_group,
     max_disjoint_decomposition,
     max_disjoint_zero_sums,
+    quotient,
     reach_table,
     restricted_sums,
     subgroup_generated_by,
 )
-from zerosum.engine import _iter_minimal_zero_sums, lifts_disjoint_count
+from zerosum.engine import _iter_minimal_zero_sums, _reach_masks, lifts_disjoint_count
 from zerosum.errors import CapacityError
 
 from conftest import (
@@ -28,6 +30,7 @@ from conftest import (
     brute_minimal_zero_sums,
     brute_subsums,
     random_sequence,
+    unpack_table,
 )
 
 
@@ -202,6 +205,28 @@ def test_inductive_partition_examples():
             image = part.projection.table[el.index]
             assert image != 0 and image not in seen and v == 1
             seen.add(image)
+
+
+def test_projected_reach_table_matches_brute_subsums():
+    """The fold through a quotient map holds the subsums of the projected
+    sequence, on C2 x C2 x C4 for subgroups of every order."""
+    group = make_group([2, 2, 4])
+    rng = random.Random(14)
+    subs = enumerate_subgroups(group)
+    picked = [subs[0], subs[-1]] + rng.sample(subs[1:-1], 6)
+    for sub in picked:
+        qm = quotient(group, sub)
+        image = qm.target
+        for _ in range(10):
+            seq = random_sequence(rng, group, 7)
+            projected = [0] * image.order
+            for i, v in enumerate(seq.mult):
+                projected[qm.table[i]] += v
+            oracle = brute_subsums(Sequence(image, projected))
+            for max_len in (image.exponent, len(seq)):
+                table = _reach_masks(group, seq.mult, max_len, qm.table, image)
+                assert unpack_table(table, image.order, max_len) == \
+                    {e: {L for L in lengths if L <= max_len} for e, lengths in oracle.items()}
 
 
 def test_extract_exp_length_zero_sum_pilot_of_zeros():

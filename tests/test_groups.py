@@ -261,18 +261,23 @@ def test_canonical_invariant_factors_direct():
 @pytest.mark.parametrize("factors", [[8], [2, 6], [2, 2, 4], [4, 4, 4], [2, 2, 2, 8]],
                          ids=str)
 def test_mask_shifts_translate_like_add_row(factors):
+    """Slot x + g of the translate holds slot x, for slots of 1, 3 and 7
+    bits, with x + g from add_index."""
     group = make_group(factors)
     n = group.order
     rng = random.Random(n)
-    for g in range(n):
-        row = group.add_row(g)
-        for _ in range(4):
-            mask = rng.getrandbits(n)
-            want = sum(1 << row[x] for x in range(n) if (mask >> x) & 1)
-            got = mask
-            for lo, up, hi, down in group.mask_shifts(g):
-                got = ((got & lo) << up) | ((got & hi) >> down)
-            assert got == want
-            assert group.translate_mask(mask, g) == want
-    assert group.mask_shifts(0) == ()
-    assert group.mask_shifts(1) is group.mask_shifts(1)
+    for width in (1, 3, 7):
+        full = (1 << width) - 1
+        for g in range(n):
+            for _ in range(4):
+                mask = rng.getrandbits(n * width)
+                want = 0
+                for x in range(n):
+                    want |= ((mask >> (x * width)) & full) << (group.add_index(x, g) * width)
+                got = mask
+                for lo, up, hi, down in group.mask_shifts(g, width):
+                    got = ((got & lo) << up) | ((got & hi) >> down)
+                assert got == want
+                assert group.translate_mask(mask, g, width) == want
+        assert group.mask_shifts(0, width) == ()
+        assert group.mask_shifts(1, width) is group.mask_shifts(1, width)

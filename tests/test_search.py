@@ -1,10 +1,21 @@
 """Orbit pruning of the first two positions: generators of Aut(G) against
-the brute-force list of automorphisms, and hand-derived orbits above its cap."""
+the brute-force list of automorphisms, and hand-derived orbits above its cap.
+The packed subsum tables of the search states against brute-force subsums."""
+
+import random
 
 import pytest
 
-from zerosum import make_group
-from zerosum.search import Budget, canonical_first_two, dfs_run
+from zerosum import Sequence, make_group
+from zerosum.search import (
+    Budget,
+    canonical_first_two,
+    dfs_run,
+    exact_length_state,
+    short_zero_sum_state,
+)
+
+from conftest import brute_subsums, unpack_table
 
 BRUTE_FORCE_GROUPS = [
     [2], [3], [4], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8], [3, 6],
@@ -77,3 +88,33 @@ def test_dfs_run_prunes_orbits_at_order_128():
     out = dfs_run(group, _AcceptAll(), target_length=2,
                   budget=Budget(max_nodes=1000), orbit_pruning=False)
     assert out.status == "partial"
+
+
+@pytest.mark.parametrize("factors", [[7], [2, 6], [4, 4], [2, 2, 4], [2, 2, 2, 2]], ids=str)
+def test_reach_state_tables_match_brute_subsums(factors):
+    """Every table on the stack of a short-zero-sum or exact-length state
+    holds the subsums of its prefix up to max_len, and a push is refused
+    exactly when it would create a forbidden length at 0."""
+    group = make_group(factors)
+    exp = group.exponent
+    rng = random.Random(group.order)
+    for make, max_len, forbidden in (
+            (short_zero_sum_state, exp, set(range(1, exp + 1))),
+            (lambda g: exact_length_state(g, exp), exp, {exp}),
+            (lambda g: exact_length_state(g, 3), 3, {3})):
+        for _ in range(8):
+            state = make(group)
+            prefix = []
+            for _ in range(10):
+                g = rng.randrange(group.order)
+                oracle = brute_subsums(Sequence.from_indices(group, prefix + [g]))
+                clipped = {e: {L for L in lengths if L <= max_len}
+                           for e, lengths in oracle.items()}
+                accepted = state.try_push(g)
+                assert accepted == (not clipped[0] & forbidden)
+                if accepted:
+                    prefix.append(g)
+                    assert unpack_table(state.stack[-1], group.order, max_len) == clipped
+            while prefix:
+                state.pop(prefix.pop())
+            assert state.stack == [1]
