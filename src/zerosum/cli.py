@@ -57,8 +57,10 @@ EXIT_USAGE = 64
 SCHEMA_VERSION = 1
 # Part of a checkpoint's job key; bump it when a stored cursor stack would
 # replay against a different search tree.  Version 2 raised the orbit
-# pruning cap from order 64 to 256, so unversioned checkpoints are refused.
-CHECKPOINT_VERSION = 2
+# pruning cap from order 64 to 256, so unversioned checkpoints are refused;
+# version 3 prunes every later position of a maximise search by the
+# pointwise stabiliser of the prefix.
+CHECKPOINT_VERSION = 3
 
 
 class _Parser(argparse.ArgumentParser):

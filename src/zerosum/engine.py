@@ -171,13 +171,19 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
     Greedy on the smallest support element with a suffix-feasibility table,
     so the result is deterministic.
     """
-    target_group = image_group if hom is not None else group
     if length == 0:
         return () if target == 0 else None
-    # suffix[k] = packed table of the sub-multiset on support[k:]
     support, suffix = _suffix_tables(group, mult, length, hom, image_group)
     if not (_slot(suffix[0], target, length) >> length) & 1:
         return None
+    return _lex_smallest_walk(image_group if hom is not None else group, mult,
+                              support, suffix, length, length, target, hom)
+
+
+def _lex_smallest_walk(target_group: Group, mult, support, suffix, max_len: int,
+                       length: int, target: int, hom=None):
+    """The greedy walk of ``extract_lex_smallest`` on suffix tables that
+    ``_suffix_tables`` built with any ``max_len >= length``."""
     chosen = []
     remaining = length
     tgt = target
@@ -192,7 +198,7 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
         cur = target_group.add_index(tgt, target_group.neg_index(shift))
         for c in range(c_max, -1, -1):
             need = remaining - c
-            if (_slot(suffix[k + 1], cur, length) >> need) & 1:
+            if (_slot(suffix[k + 1], cur, max_len) >> need) & 1:
                 best_c = c
                 break
             cur = target_group.add_index(cur, img)

@@ -189,6 +189,8 @@ class Group:
         self._neg_table = None
         self._automorphisms = None
         self._canonical_first_two = None    # filled by search.canonical_first_two
+        self._stabiliser_chain = None       # filled by search.stabiliser_chain
+        self._subgroups = None              # filled by enumerate_subgroups
 
     # -- identity / value semantics
     def __eq__(self, other):
@@ -356,6 +358,37 @@ class Group:
                     f"generator ({i}, {j}, {c}) of Aut({self.label()}) is not a bijection")
             perms.append(perm)
         return perms
+
+    def automorphism_order(self) -> int:
+        """|Aut(G)|, the product of |Aut(G_p)| over the Sylow subgroups.
+
+        For G_p = C_{p^e_1} + ... + C_{p^e_k} with e_1 <= ... <= e_k,
+        Hillar and Rhea (Theorem 4.1) give |Aut(G_p)| as the product over
+        j = 1..k of (p^d_j - p^(j-1)) * p^(e_j (k - d_j)) *
+        p^((e_j - 1)(k - c_j + 1)), where c_j and d_j are the least and
+        greatest positions l with e_l = e_j.
+        """
+        total, rest, p = 1, self.exponent, 2
+        while rest > 1:
+            if rest % p:
+                p += 1
+                continue
+            while rest % p == 0:
+                rest //= p
+            es = []
+            for f in self.invariant_factors:
+                e = 0
+                while f % p == 0:
+                    f //= p
+                    e += 1
+                if e:
+                    es.append(e)
+            k = len(es)
+            for j, e in enumerate(es, 1):
+                c = es.index(e) + 1
+                d = k - es[::-1].index(e)
+                total *= (p ** d - p ** (j - 1)) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
+        return total
 
     def automorphisms(self):
         """All automorphisms as index-permutation tuples (brute force).
@@ -600,12 +633,22 @@ def enumerate_subgroups(group: Group, proper_only: bool = False,
                         max_order: int = SUBGROUP_ENUM_MAX_ORDER):
     """Every subgroup exactly once, by BFS over generator extensions.
 
-    Results are sorted by (order, membership mask) for determinism.
+    Results are sorted by (order, membership mask) for determinism.  The
+    sorted tuple is cached on the group; each call returns a fresh list.
     """
     if group.order > max_order:
         raise CapacityError(
             f"subgroup enumeration capped at order {max_order}, got {group.order}"
         )
+    if group._subgroups is None:
+        group._subgroups = _all_subgroups(group)
+    if proper_only:
+        return [s for s in group._subgroups if s.is_proper]
+    return list(group._subgroups)
+
+
+def _all_subgroups(group: Group) -> tuple:
+    """Every subgroup, sorted by (order, membership mask)."""
     trivial = subgroup_generated_by(group, [])
     seen = {trivial.mask: trivial}
     queue = [trivial]
@@ -627,10 +670,7 @@ def enumerate_subgroups(group: Group, proper_only: bool = False,
                 )
                 seen[mask] = sub
                 queue.append(sub)
-    subs = sorted(seen.values(), key=lambda s: (s.order, s.mask))
-    if proper_only:
-        subs = [s for s in subs if s.is_proper]
-    return subs
+    return tuple(sorted(seen.values(), key=lambda s: (s.order, s.mask)))
 
 
 # ---------------------------------------------------------------------------

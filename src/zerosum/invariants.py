@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import (
-    _reach_masks,
+    _lex_smallest_walk,
     _slot,
-    extract_lex_smallest,
+    _suffix_tables,
     has_nonempty_zero_sum,
     has_short_zero_sum,
     has_zero_sum_of_length,
@@ -238,11 +238,15 @@ class _DkState:
         if g == 0:
             rest = ()
         else:
+            # one fold of the free terms serves the shortest length
+            # through g and the lexicographic walk
             neg = self.neg[g]
             total = sum(work)
-            lengths = _slot(_reach_masks(self.group, work, total), neg, total) & ~1
+            support, tables = _suffix_tables(self.group, work, total)
+            lengths = _slot(tables[0], neg, total) & ~1
             shortest = (lengths & -lengths).bit_length() - 1
-            rest = extract_lex_smallest(self.group, work, shortest, neg)
+            rest = _lex_smallest_walk(self.group, work, support, tables, total,
+                                      shortest, neg)
             for i in rest:
                 work[i] -= 1
         return family + (tuple(sorted(rest + (g,))),), self._free_mask(work)

@@ -79,11 +79,11 @@ def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
     full = json.loads(out)["result"]
 
     ck = tmp_path / "ck.json"
-    code, out = run_cli(args + ["--budget-nodes", "300", "--checkpoint", str(ck)],
+    code, out = run_cli(args + ["--budget-nodes", "100", "--checkpoint", str(ck)],
                         capsys)
     rounds = 0
     while code == 2:
-        code, out = run_cli(args + ["--budget-nodes", "300", "--checkpoint", str(ck),
+        code, out = run_cli(args + ["--budget-nodes", "100", "--checkpoint", str(ck),
                                     "--resume"], capsys)
         rounds += 1
         assert rounds < 40
@@ -92,6 +92,44 @@ def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
     assert resumed["value"] == full["value"] == 9
     assert resumed["witness"] == full["witness"]
     assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
+
+
+def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path):
+    # the stabiliser chain is rebuilt from the replayed path on every resume
+    args = ["constant", "--group", "2,2,6", "--kind", "eta"]
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    full = json.loads(out)["result"]
+
+    ck = tmp_path / "ck.json"
+    code, out = run_cli(args + ["--budget-nodes", "2000", "--checkpoint", str(ck)],
+                        capsys)
+    rounds = 0
+    while code == 2:
+        code, out = run_cli(args + ["--budget-nodes", "2000", "--checkpoint", str(ck),
+                                    "--resume"], capsys)
+        rounds += 1
+        assert rounds < 40
+    assert code == 0 and rounds >= 5
+    resumed = json.loads(out)["result"]
+    assert resumed["value"] == full["value"] == 10
+    assert resumed["witness"] == full["witness"]
+    assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
+
+
+def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
+    ck = tmp_path / "ck.json"
+    code, _ = run_cli(["constant", "--group", "2,2,6", "--kind", "eta",
+                       "--budget-nodes", "2000", "--checkpoint", str(ck)], capsys)
+    assert code == 2
+    stored = json.loads(ck.read_text())
+    assert stored["job"]["version"] == 3
+    stored["job"]["version"] = 2
+    ck.write_text(json.dumps(stored))
+    code = main(["constant", "--group", "2,2,6", "--kind", "eta",
+                 "--checkpoint", str(ck), "--resume"])
+    assert code == 64
+    assert "version" in capsys.readouterr().err
 
 
 def test_resume_rejects_other_job(capsys, tmp_path):
@@ -227,10 +265,12 @@ def test_usage_errors_exit_64():
 
 
 def test_threads_produce_identical_result(capsys):
-    code, seq_out = run_cli(["constant", "--group", "2,2,4", "--kind", "eta"], capsys)
-    assert code == 0
-    code, par_out = run_cli(["constant", "--group", "2,2,4", "--kind", "eta",
-                             "--threads", "3"], capsys)
-    assert code == 0
-    a, b = json.loads(seq_out)["result"], json.loads(par_out)["result"]
-    assert (a["value"], a["witness"]) == (b["value"], b["witness"])
+    for args, threads in ((["--group", "2,2,4", "--kind", "eta"], "3"),
+                          (["--group", "2,2,8", "--kind", "d"], "2"),
+                          (["--group", "2,2,4", "--kind", "s"], "2")):
+        code, seq_out = run_cli(["constant"] + args, capsys)
+        assert code == 0
+        code, par_out = run_cli(["constant"] + args + ["--threads", threads], capsys)
+        assert code == 0
+        a, b = json.loads(seq_out)["result"], json.loads(par_out)["result"]
+        assert (a["value"], a["witness"]) == (b["value"], b["witness"]), args

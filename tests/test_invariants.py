@@ -256,23 +256,31 @@ def test_result_json_shape():
 
 
 # value, witness as sorted indices, and node count of searches whose tree
-# must not change when their pruning state changes representation
+# must not change when their pruning state changes representation; the
+# orbit-pruned trees also pin the stabiliser chain, the unpruned ones the
+# bare search
 PINNED_SEARCHES = [
-    ([2, 4, 4], "d", None, 8, [1, 2, 2, 2, 8, 8, 8], 173415),
-    ([2, 2, 8], "d", None, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 328912),
-    ([2, 2, 2], "dk", 2, 7, [1, 2, 3, 4, 5, 6], 376),
-    ([2, 2, 2], "dk", 3, 9, [1, 1, 1, 2, 3, 4, 5, 6], 2585),
-    ([2, 2, 2], "dk", 4, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 11382),
-    ([2, 2, 4], "dk", 2, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 72977),
+    ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 24269),
+    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 56625),
+    ([2, 2, 2], "dk", 2, True, 7, [1, 2, 3, 4, 5, 6], 126),
+    ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 852),
+    ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 4001),
+    ([2, 2, 4], "dk", 2, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 19620),
+    ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 12917),
+    ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 5446),
+    ([2, 2, 2], "dk", 2, False, 7, [1, 2, 3, 4, 5, 6], 1235),
+    ([2, 2, 2], "dk", 3, False, 9, [1, 1, 1, 2, 3, 4, 5, 6], 5971),
+    ([2, 2, 4], "eta", None, False, 8, [1, 2, 4, 4, 4, 5, 6], 15214),
+    ([2, 2, 4], "s", None, False, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 98850),
 ]
 
 
 @pytest.mark.parametrize(
-    "factors,kind,k,value,witness,nodes", PINNED_SEARCHES,
+    "factors,kind,k,orbit,value,witness,nodes", PINNED_SEARCHES,
     ids=["x".join(f"C{f}" for f in case[0]) + f"-{case[1]}{case[2] or ''}"
-         for case in PINNED_SEARCHES])
-def test_pinned_search_trees(factors, kind, k, value, witness, nodes):
-    res = compute(make_group(factors), kind, k=k)
+         + ("" if case[3] else "-unpruned") for case in PINNED_SEARCHES])
+def test_pinned_search_trees(factors, kind, k, orbit, value, witness, nodes):
+    res = compute(make_group(factors), kind, k=k, orbit_pruning=orbit)
     assert res.value == value
     assert res.witness == Sequence.from_indices(res.group, witness)
     assert res.stats.nodes == nodes
@@ -357,5 +365,5 @@ def test_dk_search_carries_families_from_both_lift_paths(monkeypatch):
 
     group = make_group([6])
     out = dfs_run(group, Checked(group, 3), orbit_pruning=True)
-    assert (out.best + 1, out.stats.nodes) == (18, 2551)
+    assert (out.best + 1, out.stats.nodes) == (18, 2370)
     assert collected

@@ -1,7 +1,9 @@
-"""Orbit pruning of the first two positions: generators of Aut(G) against
-the brute-force list of automorphisms, and hand-derived orbits above its cap.
-The packed subsum tables of the search states against brute-force subsums."""
+"""Orbit pruning: the canonical first two positions and the chain of
+pointwise stabilisers against the brute-force list of automorphisms, and
+hand-derived orbits above its cap.  The packed subsum tables of the search
+states against brute-force subsums."""
 
+import functools
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from zerosum.search import (
     dfs_run,
     exact_length_state,
     short_zero_sum_state,
+    stabiliser_chain,
 )
 
 from conftest import brute_subsums, unpack_table
@@ -24,10 +27,15 @@ BRUTE_FORCE_GROUPS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def brute_automorphisms(factors):
+    return make_group(factors).automorphisms()
+
+
 def brute_first_two(group):
     """Lexicographic minima of the element and unordered-pair orbits,
     taken over every automorphism."""
-    perms = group.automorphisms()
+    perms = brute_automorphisms(group.invariant_factors)
     n = group.order
     seeds = {min(p[a] for p in perms) for a in range(n)}
     pairs = {min(tuple(sorted((p[a], p[b]))) for p in perms)
@@ -39,7 +47,7 @@ def brute_first_two(group):
 def test_canonical_first_two_matches_brute_force(factors):
     group = make_group(factors)
     n = group.order
-    automorphisms = set(group.automorphisms())
+    automorphisms = set(brute_automorphisms(group.invariant_factors))
     for perm in group.automorphism_generators():
         assert perm[0] == 0
         assert sorted(perm) == list(range(n))
@@ -61,6 +69,61 @@ def test_elementary_abelian_orbits_above_old_cap(rank):
     assert seeds == {0, 1}
     assert pairs == {(0, 0), (0, 1), (1, 1), (1, 2)}
     assert canonical_first_two(group) is canonical_first_two(group)
+
+
+def chain_generators(node, n):
+    return [tuple(s[:n]) for s, _ in node.levels[0][0]] if node.levels else []
+
+
+@pytest.mark.parametrize("factors", BRUTE_FORCE_GROUPS, ids=str)
+def test_stabiliser_chain_matches_brute_force(factors):
+    """Along random distinct prefixes, each node's orbit minima equal those
+    of the stabiliser filtered from every automorphism, its order equals
+    that stabiliser's, and its generators are automorphisms fixing the
+    prefix; the nodes stay cached on the group."""
+    group = make_group(factors)
+    n = group.order
+    perms = brute_automorphisms(group.invariant_factors)
+    automorphisms = set(perms)
+    root = stabiliser_chain(group)
+    assert root.order == len(perms) == group.automorphism_order()
+    rng = random.Random(n)
+    for _ in range(12):
+        prefix = rng.sample(range(n), rng.randint(1, min(n, 5)))
+        node = root
+        for i in range(len(prefix) + 1):
+            stab = [p for p in perms if all(p[x] == x for x in prefix[:i])]
+            assert node.mask == sum(1 << x for x in range(n)
+                                    if all(p[x] >= x for p in stab))
+            assert node.order == len(stab)
+            for gen in chain_generators(node, n):
+                assert gen in automorphisms
+                assert all(gen[x] == x for x in prefix[:i])
+            if i < len(prefix):
+                node = node.child(prefix[i])
+        again = root
+        for b in prefix:
+            again = again.child(b)
+        assert again is node
+    assert stabiliser_chain(group) is root
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_elementary_abelian_stabilisers_above_old_cap(rank):
+    # GL_r(F_2) fixes the span of a prefix pointwise and, on the
+    # complement of the span, is transitive; so the orbit minima are the
+    # span and the least vector outside it
+    group = make_group([2] * rank)
+    n = group.order
+    rng = random.Random(rank)
+    for _ in range(4):
+        node = stabiliser_chain(group)
+        span = {0}
+        for b in sorted(rng.sample(range(1, n), 4)):
+            node = node.child(b)
+            span |= {x ^ b for x in span}
+            outside = min(set(range(n)) - span, default=None)
+            assert node.mask == sum(1 << x for x in span | {outside} - {None})
 
 
 class _AcceptAll:
