@@ -49,7 +49,6 @@ from .groups import (
     Group,
     QuotientMap,
     Subgroup,
-    element_order,
     enumerate_subgroups,
     find_inductive_subgroup,
     make_group,
@@ -72,6 +71,6 @@ from .invariants import (
     property_d_known,
 )
 from .search import Budget, SearchStats
-from .sequences import Sequence, Visit, enumerate_multisets
+from .sequences import Sequence
 
 __all__ = [name for name in dir() if not name.startswith("_")]

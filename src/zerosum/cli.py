@@ -34,7 +34,7 @@ from .extremal import (
     square_counterexample_report,
     verify_subsum_certificate,
 )
-from .groups import parse_group
+from .groups import CLI_GROUP_MAX_ORDER, parse_group
 from .invariants import (
     KIND_D,
     KIND_DK,
@@ -46,7 +46,7 @@ from .invariants import (
     formula_oracle,
     rank_two_split,
 )
-from .search import ORBIT_PRUNING_MAX_ORDER, Budget
+from .search import Budget, orbit_pruning_applies
 from .sequences import Sequence
 
 EXIT_OK = 0
@@ -129,6 +129,16 @@ def _store_checkpoint(path, payload):
     os.replace(tmp, path)
 
 
+def _group_from(spec):
+    """The group of ``--group`` (or C_m + C_m of ``--m``), refused before
+    anything of size |G| is built when its order exceeds CLI_GROUP_MAX_ORDER."""
+    group = parse_group(spec)
+    if group.order > CLI_GROUP_MAX_ORDER:
+        raise CapacityError(f"group order {group.order} exceeds the command-line cap "
+                            f"CLI_GROUP_MAX_ORDER = {CLI_GROUP_MAX_ORDER}")
+    return group
+
+
 def _checked_record(result) -> dict:
     """A search result's record with its closed-form value and whether the
     two agree (None when no formula covers it or the search is partial)."""
@@ -144,7 +154,7 @@ def _checked_record(result) -> dict:
 # Commands
 
 def _cmd_constant(args) -> int:
-    group = parse_group(args.group)
+    group = _group_from(args.group)
     budget = _budget_from(args)
     job = {"group": list(group.invariant_factors), "kind": args.kind, "k": args.k,
            "orbit_pruning": not args.no_orbit_pruning,
@@ -185,7 +195,7 @@ def _parallel_constant(group, args, budget):
 
     from .search import canonical_first_two
 
-    if not args.no_orbit_pruning and 1 < group.order <= ORBIT_PRUNING_MAX_ORDER:
+    if not args.no_orbit_pruning and orbit_pruning_applies(group):
         seeds, _ = canonical_first_two(group)
     else:
         seeds = set(range(group.order))
@@ -230,14 +240,14 @@ def _parse_residues(text):
 
 
 def _cmd_witness(args) -> int:
-    group = parse_group(args.group)
+    group = _group_from(args.group)
     if args.family == "dk":
         if args.m is None or args.k is None:
             raise InvalidInputError("family dk needs --m and --k")
-        seq = build_dk_witness(args.m, args.k)
-        if seq.group != group:
+        if args.m >= 1 and group.invariant_factors != (2, 2 * args.m, 2 * args.m):
             raise InvalidInputError(
-                f"the dk witness for m={args.m} lives over {seq.group.label()}")
+                f"the dk witness for m={args.m} lives over C2xC{2 * args.m}xC{2 * args.m}")
+        seq = build_dk_witness(args.m, args.k)
         expected_len = 2 * args.m + 2 * args.m * args.k
         verified = (len(seq) == expected_len
                     and seq.sum() == -seq.group.element([0, 0, 1])
@@ -268,7 +278,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    group = parse_group(args.group)
+    group = _group_from(args.group)
     budget = _budget_from(args)
     if args.kind == KIND_ETA:
         report = classify_eta_extremal(group, budget)
@@ -283,6 +293,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_property_d(args) -> int:
+    if args.m >= 1:
+        _group_from([args.m, args.m])
     budget = _budget_from(args)
     report = check_property_d(args.m, budget)
     _emit({"command": "property-d", "result": report.to_json()}, args)
@@ -294,13 +306,13 @@ def _cmd_property_d(args) -> int:
 def _cmd_lemma_check(args) -> int:
     budget = _budget_from(args)
     if args.lemma == "stability":
-        group = parse_group(args.group)
+        group = _group_from(args.group)
         report = check_stability(group, args.kind, budget=budget)
         _emit({"command": "lemma-check", "lemma": "stability",
                "result": report.to_json()}, args)
         return EXIT_OK if report.holds else EXIT_FALSIFIED
     if args.lemma == "subsum":
-        group = parse_group(args.group)
+        group = _group_from(args.group)
         if args.kind == KIND_ETA:
             sequences, out = enumerate_eta_extremal(group, budget)
         else:
@@ -331,7 +343,7 @@ def _cmd_lemma_check(args) -> int:
 
         from .engine import extract_exp_length_zero_sum
 
-        group = parse_group(args.group)
+        group = _group_from(args.group)
         eta = formula_oracle(group, KIND_ETA)
         if eta is None:
             eta = compute_eta(group, budget).value

@@ -115,9 +115,6 @@ class ReachTable:
         window = ((1 << (min(length, self.max_len) + 1)) - 1) & ~1
         return {e for e, m in enumerate(self.masks) if m & window}
 
-    def zero_lengths(self) -> list:
-        return self.lengths(0)
-
 
 def reach_table(seq: Sequence, max_len: int) -> ReachTable:
     if max_len < 0:
@@ -316,9 +313,11 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
     for the remaining needed parts is never tried, and a branch dies as
     soon as no zero-sum of length at most total/needed exists.  With
     ``must_use`` the first part is forced through that element (sound when
-    the maximum without it is needed-1).  ``collect`` receives a witness
-    family on success; ``memo`` caches (multiset, needed) decisions, of
-    which only refutations are reused while collecting.
+    the maximum without it is needed-1): the forced level branches only on
+    parts through it, never drops it, and neither reads nor writes the
+    memo; a zero part discharges a forced 0.  ``collect`` receives a
+    witness family on success; ``memo`` caches (multiset, needed)
+    decisions, of which only refutations are reused while collecting.
     """
     if needed <= 0:
         if collect is not None:
@@ -326,7 +325,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
         return True
     work = list(mult)
 
-    def rec(total_len, needed, parts):
+    def rec(total_len, needed, parts, forced=None):
         if needed <= 0:
             if collect is not None:
                 collect[:] = parts
@@ -335,23 +334,27 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
         if zeros:
             use = min(zeros, needed)
             work[0] = 0
-            ok = rec(total_len - zeros, needed - use, parts + [(0,)] * use)
+            ok = rec(total_len - zeros, needed - use, parts + [(0,)] * use,
+                     None if forced == 0 else forced)
             work[0] = zeros
             return ok
         if total_len < 2 * needed:
             return False
-        if memo is not None:
-            key = (bytes(work), needed)
-            hit = memo.get(key)
-            if hit is not None and (collect is None or not hit):
-                return hit
-        # a zero-sum short enough to pay for `needed` parts must exist
-        limit = total_len // needed
-        if not _slot(_reach_masks(group, work, limit), 0, limit) & ~1:
+        if forced is None:
             if memo is not None:
-                memo[key] = False
-            return False
-        g = next(i for i, v in enumerate(work) if v)
+                key = (bytes(work), needed)
+                hit = memo.get(key)
+                if hit is not None and (collect is None or not hit):
+                    return hit
+            # a zero-sum short enough to pay for `needed` parts must exist
+            limit = total_len // needed
+            if not _slot(_reach_masks(group, work, limit), 0, limit) & ~1:
+                if memo is not None:
+                    memo[key] = False
+                return False
+            g = next(i for i, v in enumerate(work) if v)
+        else:
+            g = forced
         cap = total_len - 2 * (needed - 1)
         ok = False
         for part in _iter_minimal_zero_sums(group, work, containing=g, max_len=cap):
@@ -362,6 +365,8 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
                 work[i] += 1
             if ok:
                 break
+        if forced is not None:
+            return ok
         if not ok:
             dropped = work[g]
             work[g] = 0
@@ -371,36 +376,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
             memo[key] = ok
         return ok
 
-    total = sum(work)
-    if must_use is None:
-        return rec(total, needed, [])
-    # strip zeros first so the part-length cap below is sound; a zero part
-    # also discharges the forcing when the forced element is 0 itself
-    zeros = work[0]
-    base = []
-    if zeros:
-        use = min(zeros, needed)
-        work[0] = 0
-        total -= zeros
-        needed -= use
-        base = [(0,)] * use
-        if must_use == 0 or needed <= 0:
-            ok = rec(total, needed, base)
-            work[0] = zeros
-            return ok
-    cap = total - 2 * (needed - 1)
-    found = False
-    for part in _iter_minimal_zero_sums(group, work, containing=must_use, max_len=cap):
-        for i in part:
-            work[i] -= 1
-        found = rec(total - len(part), needed - 1, base + [part])
-        for i in part:
-            work[i] += 1
-        if found:
-            break
-    if zeros:
-        work[0] = zeros
-    return found
+    return rec(sum(work), needed, [], must_use)
 
 
 def max_disjoint_zero_sums(seq: Sequence, goal: int) -> int:
@@ -509,8 +485,13 @@ class ExtractionFailure:
     detail: str
 
 
-def _check_pilot_premises(seq: Sequence, pilot: Sequence, anchor, eta: int,
-                          required_len: int):
+def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
+    """Check the premises of the two extractions and shift by -anchor.
+
+    Returns the anchor a, the shifted pilot, the rest (the shifted
+    sequence without the shifted pilot) and the greatest length at most
+    exp(G) of a zero-sum subsequence of the rest (0 when there is none).
+    """
     group = seq.group
     if pilot.group != group or seq.group != group:
         raise InvalidInputError("sequence and pilot over different groups")
@@ -530,7 +511,11 @@ def _check_pilot_premises(seq: Sequence, pilot: Sequence, anchor, eta: int,
     if len(seq) < required_len:
         raise InvalidInputError(
             f"sequence length {len(seq)} below required {required_len}")
-    return a
+    shifted_pilot = pilot.translate(-a)
+    rest = seq.translate(-a).quotient(shifted_pilot)
+    cap = min(group.exponent, len(rest))
+    tlen = _slot(_reach_masks(group, rest.mult, cap), 0, cap).bit_length() - 1
+    return a, shifted_pilot, rest, tlen
 
 
 def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int):
@@ -544,12 +529,7 @@ def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int
     """
     group = seq.group
     exp = group.exponent
-    a = _check_pilot_premises(seq, pilot, anchor, eta, eta + exp - 1)
-    shifted_seq = seq.translate(-a)
-    shifted_pilot = pilot.translate(-a)
-    rest = shifted_seq.quotient(shifted_pilot)
-    cap = min(exp, len(rest))
-    tlen = _slot(_reach_masks(group, rest.mult, cap), 0, cap).bit_length() - 1
+    a, shifted_pilot, rest, tlen = _pilot_prologue(seq, pilot, anchor, eta + exp - 1)
     if len(pilot) >= exp - tlen:
         t_part = extract_lex_smallest(group, rest.mult, tlen, 0) if tlen else ()
         c_part = extract_lex_smallest(group, shifted_pilot.mult, exp - tlen, 0)
@@ -576,14 +556,9 @@ def extract_short_zero_sum_free(seq: Sequence, pilot: Sequence, anchor, eta: int
     """
     group = seq.group
     exp = group.exponent
-    a = _check_pilot_premises(seq, pilot, anchor, eta, (eta - 1) + exp - 1)
+    _, _, rest, tlen = _pilot_prologue(seq, pilot, anchor, (eta - 1) + exp - 1)
     if has_zero_sum_of_length(seq, exp):
         raise InvalidInputError("sequence already has a zero-sum of length exp(G)")
-    shifted_seq = seq.translate(-a)
-    shifted_pilot = pilot.translate(-a)
-    rest = shifted_seq.quotient(shifted_pilot)
-    cap = min(exp, len(rest))
-    tlen = _slot(_reach_masks(group, rest.mult, cap), 0, cap).bit_length() - 1
     if len(pilot) >= exp - tlen:
         return ExtractionFailure(
             "exp-free-premise",

@@ -20,6 +20,9 @@ from .errors import CapacityError, InvalidInputError
 
 SUBGROUP_ENUM_MAX_ORDER = 1 << 12
 AUTOMORPHISM_MAX_ORDER = 1 << 6
+# Largest group the command line accepts: a Sequence is a dense vector of
+# length |G|, and the searches build tables of that length up front.
+CLI_GROUP_MAX_ORDER = 1 << 16
 
 
 def _lcm(a: int, b: int) -> int:
@@ -393,46 +396,37 @@ class Group:
     def automorphisms(self):
         """All automorphisms as index-permutation tuples (brute force).
 
-        Enumerates endomorphisms induced by generator images of admissible
-        order and keeps the bijections.  Capped at order 2**6.  Searches no
-        longer call it: orbit pruning closes orbits under
-        ``automorphism_generators``, and this list is the reference that
-        tests compare those orbits against.
+        Chooses images of admissible order for the basis e_1..e_r in turn,
+        and drops a partial choice as soon as the map stops being injective
+        on the span of e_1..e_i; the maps that survive every basis element
+        are the bijections.  Capped at order 2**6.  Searches no longer call
+        it: orbit pruning closes orbits under ``automorphism_generators``,
+        and this list is the reference that tests compare those orbits
+        against.
         """
         if self._automorphisms is None:
             if self.order > AUTOMORPHISM_MAX_ORDER:
                 raise CapacityError(
                     f"automorphism enumeration capped at order {AUTOMORPHISM_MAX_ORDER}"
                 )
-            n = self.order
-            r = self.rank
-            if r == 0:
-                self._automorphisms = [(0,)]
-                return self._automorphisms
-            candidates = []
-            for i, f in enumerate(self.invariant_factors):
-                imgs = [g for g in range(n) if self.scale_index(f, g) == 0]
-                candidates.append(imgs)
             perms = []
-            stack = [0] * r
-            def build(level):
-                if level == r:
-                    perm = [0] * n
-                    for x in range(n):
-                        acc = 0
-                        rem = x
-                        for i, f in enumerate(self.invariant_factors):
-                            rem, c = rem // f, rem % f
-                            if c:
-                                acc = self.add_index(acc, self.scale_index(c, stack[i]))
-                        perm[x] = acc
-                    if len(set(perm)) == n:
-                        perms.append(tuple(perm))
+
+            def build(level, images):
+                # images[x] is the image of x for every x in the span of
+                # e_1..e_level, whose indices are 0 .. strides[level] - 1
+                if level == self.rank:
+                    perms.append(tuple(images))
                     return
-                for img in candidates[level]:
-                    stack[level] = img
-                    build(level + 1)
-            build(0)
+                f = self.invariant_factors[level]
+                for img in range(self.order):
+                    if self.scale_index(f, img):
+                        continue
+                    rows = [self.add_row(self.scale_index(c, img)) for c in range(f)]
+                    extended = [row[y] for row in rows for y in images]
+                    if len(set(extended)) == len(extended):
+                        build(level + 1, extended)
+
+            build(0, [0])
             self._automorphisms = perms
         return self._automorphisms
 
@@ -470,11 +464,6 @@ class Element:
 def make_group(factors) -> Group:
     """Group from any list of positive cyclic factors, canonicalized."""
     return Group(canonical_invariant_factors(factors))
-
-
-def element_order(g: Element) -> int:
-    """Smallest positive k with k*g = 0."""
-    return g.order
 
 
 _GROUP_LABEL_RE = re.compile(r"^C(\d+)$", re.IGNORECASE)
@@ -539,9 +528,6 @@ class Subgroup:
     @property
     def is_trivial(self) -> bool:
         return self.order == 1
-
-    def as_group(self) -> Group:
-        return Group(self.invariant_factors)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.label()})"
@@ -624,11 +610,6 @@ def subgroup_generated_by(group: Group, gens) -> Subgroup:
     return Subgroup(group, mask, tuple(gen_elems), _torsion_invariant_factors(group, members))
 
 
-def full_subgroup(group: Group) -> Subgroup:
-    gens = [group.element(s) for s in group._strides]
-    return subgroup_generated_by(group, gens)
-
-
 def enumerate_subgroups(group: Group, proper_only: bool = False,
                         max_order: int = SUBGROUP_ENUM_MAX_ORDER):
     """Every subgroup exactly once, by BFS over generator extensions.
@@ -684,9 +665,6 @@ class QuotientMap:
     kernel: Subgroup
     target: Group
     table: tuple
-
-    def apply(self, g) -> Element:
-        return self.target.element(self.table[self.source.element(g).index])
 
 
 def quotient(group: Group, sub: Subgroup) -> QuotientMap:

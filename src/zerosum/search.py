@@ -282,6 +282,12 @@ def stabiliser_chain(group: Group) -> _Stabiliser:
     return group._stabiliser_chain
 
 
+def orbit_pruning_applies(group: Group) -> bool:
+    """Whether ``dfs_run(..., orbit_pruning=True)`` prunes by Aut(G)-orbits
+    on this group."""
+    return 1 < group.order <= ORBIT_PRUNING_MAX_ORDER
+
+
 def dfs_run(group: Group, state, *, target_length=None, emit=None,
             budget: Budget | None = None, orbit_pruning=False,
             anchor_zero=False, resume=None, restrict_prefix=None) -> DfsOutcome:
@@ -312,7 +318,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     """
     n = group.order
     maximize = target_length is None
-    use_orbit = orbit_pruning and 1 < n <= ORBIT_PRUNING_MAX_ORDER
+    use_orbit = orbit_pruning and orbit_pruning_applies(group)
     seeds = pairs = None
     if use_orbit:
         seeds, pairs = canonical_first_two(group)

@@ -8,17 +8,9 @@ of terms never matters.
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .errors import InvalidInputError
 from .groups import Element, Group
-
-class Visit(Enum):
-    """Prune protocol shared by all multiset enumerations."""
-
-    CONTINUE = 0
-    SKIP_EXTENSIONS = 1
-    ABORT = 2
 
 
 class Sequence:
@@ -177,61 +169,3 @@ class Sequence:
             terms.append((res, v))
         return cls.from_terms(group, terms)
 
-
-def seq_sum(seq: Sequence) -> Element:
-    return seq.sum()
-
-
-def seq_gcd(first: Sequence, second: Sequence) -> Sequence:
-    return first.gcd(second)
-
-
-def divides(part: Sequence, whole: Sequence) -> bool:
-    return part.divides(whole)
-
-
-def seq_quotient(whole: Sequence, part: Sequence) -> Sequence:
-    return whole.quotient(part)
-
-
-def translate(c, seq: Sequence) -> Sequence:
-    return seq.translate(c)
-
-
-def enumerate_multisets(group: Group, length: int, visit, first_range=None):
-    """Visit every multiset of the given size exactly once, with pruning.
-
-    Prefixes are non-decreasing element-index tuples, so each multiset has
-    one representative.  ``visit`` is called with each non-empty prefix in
-    DFS preorder (complete multisets are the prefixes of full length) and
-    may return a Visit value: SKIP_EXTENSIONS abandons every extension of
-    the current prefix, ABORT stops the whole enumeration.
-
-    ``first_range`` restricts the first position to ``range(lo, hi)`` so
-    independent sub-ranges can be enumerated in parallel.
-    """
-    if length < 0:
-        raise InvalidInputError("negative multiset size")
-    if length == 0:
-        visit(())
-        return
-    n = group.order
-    lo, hi = (0, n) if first_range is None else first_range
-    prefix = []
-
-    def rec(start: int, stop: int) -> bool:
-        depth = len(prefix)
-        for g in range(start, stop):
-            prefix.append(g)
-            outcome = visit(tuple(prefix))
-            if outcome is Visit.ABORT:
-                prefix.pop()
-                return False
-            if outcome is not Visit.SKIP_EXTENSIONS and depth + 1 < length:
-                if not rec(g, n):
-                    prefix.pop()
-                    return False
-            prefix.pop()
-        return True
-
-    rec(lo, min(hi, n))

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from zerosum.cli import main
+from zerosum import CapacityError
+from zerosum.cli import _group_from, main
+from zerosum.groups import CLI_GROUP_MAX_ORDER
 
 
 def run_cli(args, capsys):
@@ -173,6 +176,29 @@ def test_witness_dk(capsys):
     result = json.loads(out)["result"]
     assert result["length"] == 16
     assert result["verified"] is True
+
+
+@pytest.mark.parametrize("args, message", [
+    (["constant", "--group", "2,100000,100000", "--kind", "d"],
+     f"CLI_GROUP_MAX_ORDER = {CLI_GROUP_MAX_ORDER}"),
+    (["witness", "--group", "2,100000,100000", "--family", "dk", "--m", "50000", "--k", "2"],
+     f"CLI_GROUP_MAX_ORDER = {CLI_GROUP_MAX_ORDER}"),
+    (["property-d", "--m", "100000"], f"CLI_GROUP_MAX_ORDER = {CLI_GROUP_MAX_ORDER}"),
+    # the dk group is compared before the witness of order 2 * 100000**2 is built
+    (["witness", "--group", "2,4,4", "--family", "dk", "--m", "50000", "--k", "2"],
+     "lives over C2xC100000xC100000"),
+])
+def test_oversized_group_refused_before_allocating(args, message, capsys):
+    started = time.perf_counter()
+    assert main(args) == 64
+    assert time.perf_counter() - started < 5
+    assert message in capsys.readouterr().err
+
+
+def test_group_order_cap_boundary():
+    assert _group_from("256,256").order == CLI_GROUP_MAX_ORDER
+    with pytest.raises(CapacityError):
+        _group_from("2,256,256")
 
 
 def test_witness_eta_with_parameters(capsys):

@@ -170,15 +170,48 @@ def test_max_disjoint_appending_zero_increments(small_groups):
 
 
 def test_disjoint_lift_detector(small_groups):
+    """The lift decision matches the brute-force count, with and without a
+    collected family and a memo shared across the calls of each group.  A
+    collected family has count + 1 disjoint zero-sum parts dividing the
+    grown sequence, and its first part other than a copy of 0 goes through
+    g (its first part, when g is 0).  The second loop grows by 0 or adds
+    copies of 0, the cases a zero part discharges."""
+    memos = {}
+
+    def check(group, seq, g):
+        count = max_disjoint_zero_sums(seq, 12)
+        grown = seq * Sequence.from_indices(group, [g])
+        lifted = lifts_disjoint_count(group, list(grown.mult), g, count + 1)
+        assert (count + 1 if lifted else count) == brute_max_disjoint(grown)
+        family = []
+        memo = memos.setdefault(group, {})
+        assert lifts_disjoint_count(group, list(grown.mult), g, count + 1,
+                                    memo=memo, collect=family) == lifted
+        if not lifted:
+            return
+        assert len(family) == count + 1
+        parts = [Sequence.from_indices(group, p) for p in family]
+        assert all(len(p) >= 1 and p.sum().index == 0 for p in parts)
+        acc = Sequence.empty(group)
+        for p in parts:
+            acc = acc * p
+        assert acc.divides(grown)
+        forced = family[0] if g == 0 else next(p for p in family if p != (0,))
+        assert g in forced
+
     rng = random.Random(16)
     for _ in range(100):
         group = rng.choice(small_groups)
         seq = random_sequence(rng, group, 7)
-        count = max_disjoint_zero_sums(seq, 12)
-        g = rng.randrange(group.order)
-        grown = seq * Sequence.from_indices(group, [g])
-        lifted = lifts_disjoint_count(group, list(grown.mult), g, count + 1)
-        assert (count + 1 if lifted else count) == brute_max_disjoint(grown)
+        check(group, seq, rng.randrange(group.order))
+    rng = random.Random(18)
+    for trial in range(60):
+        group = rng.choice(small_groups)
+        seq = random_sequence(rng, group, 6)
+        if trial % 2:
+            seq = seq * Sequence.from_indices(group, [0] * rng.randint(1, 2))
+        check(group, seq, 0 if trial % 3 else rng.randrange(group.order))
+    assert any(memos.values())
 
 
 def test_inductive_partition_examples():

@@ -1,20 +1,48 @@
 import random
+from math import comb
 
 import pytest
 
-from zerosum import InvalidInputError, Sequence, Visit, enumerate_multisets, make_group
-from zerosum.sequences import divides, seq_gcd, seq_quotient, seq_sum, translate
+from zerosum import Budget, InvalidInputError, Sequence, make_group
+from zerosum.search import dfs_run
 
 from conftest import random_sequence
 
 
+class PermissiveState:
+    """Search state accepting every push that ``refuse(path, g)`` allows."""
+
+    def __init__(self, refuse):
+        self.path = []
+        self.refuse = refuse
+
+    def try_push(self, g):
+        if self.refuse(self.path, g):
+            return False
+        self.path.append(g)
+        return True
+
+    def pop(self, g):
+        self.path.pop()
+
+    def slack(self):
+        return None
+
+
+def enumerate_tuples(group, length, refuse=lambda path, g: False, **kwargs):
+    """Every tuple ``dfs_run`` emits in enumerate mode, in order."""
+    seen = []
+    dfs_run(group, PermissiveState(refuse), target_length=length, emit=seen.append, **kwargs)
+    return seen
+
+
 def test_sum_examples():
     c5 = make_group([5])
-    assert seq_sum(Sequence.from_terms(c5, [(1, 4)])).index == 4
-    assert seq_sum(Sequence.empty(c5)).index == 0
+    assert Sequence.from_terms(c5, [(1, 4)]).sum().index == 4
+    assert Sequence.empty(c5).sum().index == 0
     c22 = make_group([2, 2])
     full = Sequence.from_elements(c22, [[1, 0], [0, 1], [1, 1]])
-    assert seq_sum(full) == c22.zero()
+    assert full.sum() == c22.zero()
 
 
 def test_gcd_examples():
@@ -22,40 +50,40 @@ def test_gcd_examples():
     a, b = 1, 2
     s1 = Sequence.from_indices(c5, [a, a, b])
     s2 = Sequence.from_indices(c5, [a, b, b])
-    assert seq_gcd(s1, s2) == Sequence.from_indices(c5, [a, b])
-    assert seq_gcd(s1, s1) == s1
-    assert len(seq_gcd(Sequence.from_indices(c5, [a] * 3),
-                       Sequence.from_indices(c5, [b] * 3))) == 0
+    assert s1.gcd(s2) == Sequence.from_indices(c5, [a, b])
+    assert s1.gcd(s1) == s1
+    assert len(Sequence.from_indices(c5, [a] * 3).gcd(
+        Sequence.from_indices(c5, [b] * 3))) == 0
 
 
 def test_divides_and_quotient():
     c5 = make_group([5])
     t = Sequence.from_indices(c5, [1, 2])
     s = Sequence.from_indices(c5, [1, 1, 2, 2, 2])
-    assert divides(t, s)
-    assert seq_quotient(s, t) == Sequence.from_indices(c5, [1, 2, 2])
-    assert not divides(Sequence.from_indices(c5, [1] * 3),
-                       Sequence.from_indices(c5, [1] * 2))
-    assert divides(Sequence.empty(c5), s)
-    assert seq_quotient(s, Sequence.empty(c5)) == s
+    assert t.divides(s)
+    assert s.quotient(t) == Sequence.from_indices(c5, [1, 2, 2])
+    assert not Sequence.from_indices(c5, [1] * 3).divides(
+        Sequence.from_indices(c5, [1] * 2))
+    assert Sequence.empty(c5).divides(s)
+    assert s.quotient(Sequence.empty(c5)) == s
     with pytest.raises(InvalidInputError):
-        seq_quotient(t, s)
+        t.quotient(s)
 
 
 def test_group_mismatch_rejected():
     s1 = Sequence.empty(make_group([5]))
     s2 = Sequence.empty(make_group([7]))
     with pytest.raises(InvalidInputError):
-        seq_gcd(s1, s2)
+        s1.gcd(s2)
 
 
 def test_translate():
     c9 = make_group([9])
     c, b = c9.element(4), c9.element(1)
     s = Sequence.from_terms(c9, [(c, 8), (c + b, 8)])
-    assert translate(-c, s) == Sequence.from_terms(c9, [(0, 8), (b, 8)])
-    assert translate(c9.zero(), s) == s
-    assert translate(-c, translate(c, s)) == s
+    assert s.translate(-c) == Sequence.from_terms(c9, [(0, 8), (b, 8)])
+    assert s.translate(c9.zero()) == s
+    assert s.translate(c).translate(-c) == s
 
 
 def test_monoid_laws_random():
@@ -74,73 +102,51 @@ def test_monoid_laws_random():
         assert s.gcd(s.gcd(t)) == s.gcd(t)
         assert s.gcd(t).gcd(u) == s.gcd(t.gcd(u))
         c = g.element(rng.randrange(g.order))
-        assert translate(-c, translate(c, s)) == s
+        assert s.translate(c).translate(-c) == s
 
 
 def test_enumerate_multiset_counts():
-    def count_complete(group, length):
-        seen = []
-
-        def visit(prefix):
-            if len(prefix) == length:
-                seen.append(prefix)
-
-        enumerate_multisets(group, length, visit)
-        return seen
-
-    assert len(count_complete(make_group([2, 2, 2]), 2)) == 36
-    assert len(count_complete(make_group([3]), 2)) == 6
+    assert len(enumerate_tuples(make_group([2, 2, 2]), 2)) == 36
+    assert len(enumerate_tuples(make_group([3]), 2)) == 6
     # C(|G| + len - 1, len) in general
-    from math import comb
     for factors, length in (([4], 3), ([2, 2], 4), ([5], 2)):
         g = make_group(factors)
-        assert len(count_complete(g, length)) == comb(g.order + length - 1, length)
+        assert len(enumerate_tuples(g, length)) == comb(g.order + length - 1, length)
     # every complete multiset distinct and non-decreasing
-    seen = count_complete(make_group([2, 2]), 3)
+    seen = enumerate_tuples(make_group([2, 2]), 3)
     assert len(set(seen)) == len(seen)
     assert all(list(p) == sorted(p) for p in seen)
 
 
 def test_enumerate_multiset_empty_size():
-    visits = []
-    enumerate_multisets(make_group([3]), 0, visits.append)
-    assert visits == [()]
+    assert enumerate_tuples(make_group([3]), 0) == [()]
 
 
 def test_enumerate_prune_protocol():
-    calls = []
+    """A refused push cuts every extension of that prefix; a budget stops
+    the run after the tuples emitted so far."""
+    pushes = []
 
-    def visit(prefix):
-        calls.append(prefix)
-        if prefix == (0,):
-            return Visit.SKIP_EXTENSIONS
-        return Visit.CONTINUE
+    def refuse(path, g):
+        pushes.append(tuple(path) + (g,))
+        return tuple(path) + (g,) == (0,)
 
-    enumerate_multisets(make_group([3]), 2, visit)
-    assert (0,) in calls
-    assert all(not (len(p) == 2 and p[0] == 0) for p in calls)
-    assert (1, 1) in calls
+    seen = enumerate_tuples(make_group([3]), 2, refuse=refuse)
+    assert (0,) in pushes
+    assert all(p[0] != 0 for p in pushes if len(p) == 2)
+    assert seen == [(1, 1), (1, 2), (2, 2)]
 
-    calls.clear()
-
-    def abort_visit(prefix):
-        calls.append(prefix)
-        if prefix == (1,):
-            return Visit.ABORT
-
-    enumerate_multisets(make_group([3]), 2, abort_visit)
-    assert calls[-1] == (1,)
+    whole = enumerate_tuples(make_group([3]), 2)
+    cut = enumerate_tuples(make_group([3]), 2, budget=Budget(max_nodes=4))
+    assert cut == whole[:3]
 
 
 def test_enumerate_first_range_split():
     g = make_group([4])
-    whole = []
-    enumerate_multisets(g, 2, lambda p: whole.append(p) if len(p) == 2 else None)
+    whole = enumerate_tuples(g, 2)
     pieces = []
-    for lo in range(g.order):
-        enumerate_multisets(g, 2,
-                            lambda p: pieces.append(p) if len(p) == 2 else None,
-                            first_range=(lo, lo + 1))
+    for first in range(g.order):
+        pieces += enumerate_tuples(g, 2, restrict_prefix=[first])
     assert sorted(whole) == sorted(pieces)
 
 
