@@ -62,13 +62,11 @@ from .invariants import (
     TailReport,
     check_property_d,
     compute,
-    compute_davenport,
-    compute_dk,
-    compute_eta,
-    compute_s,
     detect_arithmetic_tail,
     formula_oracle,
+    has_property,
     property_d_known,
+    search_state,
 )
 from .search import Budget, SearchStats
 from .sequences import Sequence

@@ -14,11 +14,6 @@ import json
 import os
 import sys
 
-from .engine import (
-    has_short_zero_sum,
-    has_zero_sum_of_length,
-    max_disjoint_zero_sums,
-)
 from .errors import CapacityError, InvalidInputError
 from .extremal import (
     build_dk_witness,
@@ -42,8 +37,8 @@ from .invariants import (
     KIND_S,
     check_property_d,
     compute,
-    compute_eta,
     formula_oracle,
+    has_property,
     rank_two_split,
 )
 from .search import Budget, orbit_pruning_applies
@@ -68,6 +63,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _at_least(low, kind=int):
+    """An argparse type: a number of ``kind`` no less than ``low``."""
+    def parse(text):
+        value = kind(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"{text} is not at least {low}")
+        return value
+    parse.__name__ = kind.__name__      # argparse names it in its messages
+    return parse
 
 
 def _budget_from(args) -> Budget | None:
@@ -190,7 +196,8 @@ def _cmd_constant(args) -> int:
 
 
 def _parallel_constant(group, args, budget):
-    """Split the search over first elements across worker processes."""
+    """Split the search over its first free element across worker
+    processes (``compute`` pins the s anchor before it)."""
     from concurrent.futures import ProcessPoolExecutor
 
     from .search import canonical_first_two
@@ -199,15 +206,8 @@ def _parallel_constant(group, args, budget):
         seeds, _ = canonical_first_two(group)
     else:
         seeds = set(range(group.order))
-    if args.kind == KIND_S:
-        prefixes = [[0, g] for g in sorted(seeds)] or [[0]]
-    else:
-        prefixes = [[g] for g in sorted(seeds)]
-    payloads = [(list(group.invariant_factors), args.kind, args.k,
-                 prefix, not args.no_orbit_pruning,
-                 budget.max_nodes if budget else None,
-                 budget.max_seconds if budget else None)
-                for prefix in prefixes]
+    payloads = [(list(group.invariant_factors), args.kind, args.k, [g],
+                 not args.no_orbit_pruning, budget) for g in sorted(seeds)]
     with ProcessPoolExecutor(max_workers=args.threads) as pool:
         parts = list(pool.map(_constant_worker, payloads))
     # prefixes are in search order, so taking the first strict improvement
@@ -225,12 +225,9 @@ def _parallel_constant(group, args, budget):
 
 
 def _constant_worker(payload):
-    factors, kind, k, prefix, orbit, max_nodes, max_seconds = payload
+    factors, kind, k, prefix, orbit, budget = payload
     from .groups import Group
     group = Group(tuple(factors))
-    budget = None
-    if max_nodes is not None or max_seconds is not None:
-        budget = Budget(max_nodes=max_nodes, max_seconds=max_seconds)
     return compute(group, kind, k=k, budget=budget, orbit_pruning=orbit,
                    restrict_prefix=prefix)
 
@@ -251,7 +248,7 @@ def _cmd_witness(args) -> int:
         expected_len = 2 * args.m + 2 * args.m * args.k
         verified = (len(seq) == expected_len
                     and seq.sum() == -seq.group.element([0, 0, 1])
-                    and max_disjoint_zero_sums(seq, args.k) < args.k)
+                    and not has_property(seq, KIND_DK, args.k))
     else:
         m, n = rank_two_split(group)
         b1 = group.element(_parse_residues(args.b1)) if args.b1 else \
@@ -263,10 +260,10 @@ def _cmd_witness(args) -> int:
                                  t=args.t, x=args.x, c=c)
         if args.family == "eta":
             seq = build_eta_extremal(params)
-            verified = not has_short_zero_sum(seq)
+            verified = not has_property(seq, KIND_ETA)
         else:
             seq = build_s_extremal(params)
-            verified = not has_zero_sum_of_length(seq, group.exponent)
+            verified = not has_property(seq, KIND_S)
     record = {
         "family": args.family,
         "witness": seq.to_json(),
@@ -334,6 +331,8 @@ def _cmd_lemma_check(args) -> int:
             return EXIT_BUDGET
         return EXIT_OK if all_ok else EXIT_FALSIFIED
     if args.lemma == "subsum-counterexample":
+        if args.m is None:
+            raise InvalidInputError("lemma subsum-counterexample needs --m")
         report = square_counterexample_report(args.m)
         _emit({"command": "lemma-check", "lemma": "subsum-counterexample",
                "result": report.to_json()}, args)
@@ -346,7 +345,7 @@ def _cmd_lemma_check(args) -> int:
         group = _group_from(args.group)
         eta = formula_oracle(group, KIND_ETA)
         if eta is None:
-            eta = compute_eta(group, budget).value
+            eta = compute(group, KIND_ETA, budget=budget).value
         rng = random.Random(args.seed)
         length = eta + group.exponent - 1
         failures = 0
@@ -416,14 +415,14 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", help="write the report to a file")
         if budget:
-            p.add_argument("--budget-nodes", type=int, default=None)
-            p.add_argument("--budget-secs", type=float, default=None)
+            p.add_argument("--budget-nodes", type=_at_least(0), default=None)
+            p.add_argument("--budget-secs", type=_at_least(0, float), default=None)
 
     p = sub.add_parser("constant", help="compute one invariant by search")
     p.add_argument("--group", required=True)
     p.add_argument("--kind", choices=[KIND_D, KIND_DK, KIND_ETA, KIND_S], required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_at_least(1), default=1)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--no-orbit-pruning", action="store_true")
@@ -463,7 +462,7 @@ def build_parser() -> _Parser:
     p.add_argument("--group", default=None)
     p.add_argument("--kind", choices=[KIND_ETA, KIND_S], default=KIND_ETA)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(func=_cmd_lemma_check)

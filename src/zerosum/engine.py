@@ -24,6 +24,8 @@ from .groups import Group, QuotientMap, Subgroup, quotient
 from .sequences import Sequence
 
 MINIMAL_ENUM_MAX_LEN = 64
+# decisions the disjoint-count memo keeps; later ones are not stored
+DISJOINT_MEMO_MAX_ENTRIES = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +273,11 @@ def _iter_minimal_zero_sums(group: Group, mult, containing=None, max_len=None):
     yield from rec(0, g, 1 << g, False)
 
 
-def enumerate_minimal_zero_sums(seq: Sequence, size_bound: int = MINIMAL_ENUM_MAX_LEN):
+def enumerate_minimal_zero_sums(seq: Sequence):
     """All minimal zero-sum subsequences, each multiset once."""
-    if len(seq) > size_bound:
+    if len(seq) > MINIMAL_ENUM_MAX_LEN:
         raise CapacityError(
-            f"minimal zero-sum enumeration capped at length {size_bound}, got {len(seq)}"
+            f"minimal zero-sum enumeration capped at length {MINIMAL_ENUM_MAX_LEN}, got {len(seq)}"
         )
     return [Sequence.from_indices(seq.group, idxs)
             for idxs in _iter_minimal_zero_sums(seq.group, seq.mult)]
@@ -372,7 +374,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
             work[g] = 0
             ok = rec(total_len - dropped, needed, parts)
             work[g] = dropped
-        if memo is not None and len(memo) < (1 << 22):
+        if memo is not None and len(memo) < DISJOINT_MEMO_MAX_ENTRIES:
             memo[key] = ok
         return ok
 

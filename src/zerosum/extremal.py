@@ -23,8 +23,9 @@ from math import gcd
 from .engine import reach_table
 from .errors import InvalidInputError
 from .groups import Element, Group, Subgroup, enumerate_subgroups, make_group, subgroup_generated_by
-from .invariants import KIND_ETA, KIND_S, formula_oracle, property_d_known, rank_two_split
-from .search import Budget, SearchStats, dfs_run, exact_length_state, short_zero_sum_state
+from .invariants import (KIND_ETA, KIND_S, formula_oracle, property_d_known,
+                         rank_two_split, search_state)
+from .search import Budget, SearchStats, dfs_run
 from .sequences import Sequence
 
 
@@ -217,27 +218,27 @@ def s_extremal_family(group: Group):
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of extremal sequences
 
-def enumerate_eta_extremal(group: Group, budget: Budget | None = None):
-    """All sequences of length eta(H)-1 without a short zero-sum."""
-    eta = formula_oracle(group, KIND_ETA)
+def _extremal_sequences(group: Group, kind: str, budget: Budget | None):
+    """Every sequence of length (the constant of kind) - 1 without the
+    kind's property, eta or s, enumerated with no orbit pruning."""
+    if kind not in (KIND_ETA, KIND_S):
+        raise InvalidInputError(f"extremal kind must be eta or s, got {kind!r}")
     found = []
-    out = dfs_run(group, short_zero_sum_state(group),
-                  target_length=eta - 1,
+    out = dfs_run(group, search_state(group, kind),
+                  target_length=formula_oracle(group, kind) - 1,
                   emit=lambda p: found.append(Sequence.from_indices(group, p)),
                   budget=budget)
     return found, out
+
+
+def enumerate_eta_extremal(group: Group, budget: Budget | None = None):
+    """All sequences of length eta(H)-1 without a short zero-sum."""
+    return _extremal_sequences(group, KIND_ETA, budget)
 
 
 def enumerate_s_extremal(group: Group, budget: Budget | None = None):
     """All sequences of length s(H)-1 without an exp-length zero-sum."""
-    s_value = formula_oracle(group, KIND_S)
-    exp = group.exponent
-    found = []
-    out = dfs_run(group, exact_length_state(group, exp),
-                  target_length=s_value - 1,
-                  emit=lambda p: found.append(Sequence.from_indices(group, p)),
-                  budget=budget)
-    return found, out
+    return _extremal_sequences(group, KIND_S, budget)
 
 
 @dataclass
@@ -268,17 +269,19 @@ class ClassificationReport:
         }
 
 
+def _classify(group, kind, family, budget) -> ClassificationReport:
+    found, out = _extremal_sequences(group, kind, budget)
+    unmatched = [s for s in found if s not in family]
+    return ClassificationReport(group, kind, formula_oracle(group, kind) - 1,
+                                len(found), len(found) - len(unmatched),
+                                unmatched, out.status, out.stats)
+
+
 def classify_eta_extremal(group: Group, budget: Budget | None = None) -> ClassificationReport:
     """Enumerate all eta-extremal sequences and match each against the
     parameterized family; an unmatched sequence falsifies the
     classification (or the implementation)."""
-    family = eta_extremal_family(group)
-    found, out = enumerate_eta_extremal(group, budget)
-    unmatched = [s for s in found if s not in family]
-    return ClassificationReport(group, KIND_ETA,
-                                formula_oracle(group, KIND_ETA) - 1,
-                                len(found), len(found) - len(unmatched),
-                                unmatched, out.status, out.stats)
+    return _classify(group, KIND_ETA, eta_extremal_family(group), budget)
 
 
 def classify_s_extremal(group: Group, budget: Budget | None = None) -> ClassificationReport:
@@ -286,13 +289,7 @@ def classify_s_extremal(group: Group, budget: Budget | None = None) -> Classific
     if not property_d_known(m):
         raise InvalidInputError(
             f"classification needs Property D for m = {m}, which is unknown")
-    family = s_extremal_family(group)
-    found, out = enumerate_s_extremal(group, budget)
-    unmatched = [s for s in found if s not in family]
-    return ClassificationReport(group, KIND_S,
-                                formula_oracle(group, KIND_S) - 1,
-                                len(found), len(found) - len(unmatched),
-                                unmatched, out.status, out.stats)
+    return _classify(group, KIND_S, s_extremal_family(group), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +320,7 @@ def check_stability(group: Group, kind: str, sequences=None,
     never yields another one).
     """
     if sequences is None:
-        if kind == KIND_ETA:
-            sequences, out = enumerate_eta_extremal(group, budget)
-        elif kind == KIND_S:
-            sequences, out = enumerate_s_extremal(group, budget)
-        else:
-            raise InvalidInputError(f"stability kind must be eta or s, got {kind!r}")
+        sequences, out = _extremal_sequences(group, kind, budget)
         if out.status != "complete":
             raise InvalidInputError("extremal enumeration did not complete")
     for i, a in enumerate(sequences):

@@ -610,16 +610,15 @@ def subgroup_generated_by(group: Group, gens) -> Subgroup:
     return Subgroup(group, mask, tuple(gen_elems), _torsion_invariant_factors(group, members))
 
 
-def enumerate_subgroups(group: Group, proper_only: bool = False,
-                        max_order: int = SUBGROUP_ENUM_MAX_ORDER):
+def enumerate_subgroups(group: Group, proper_only: bool = False):
     """Every subgroup exactly once, by BFS over generator extensions.
 
     Results are sorted by (order, membership mask) for determinism.  The
     sorted tuple is cached on the group; each call returns a fresh list.
     """
-    if group.order > max_order:
+    if group.order > SUBGROUP_ENUM_MAX_ORDER:
         raise CapacityError(
-            f"subgroup enumeration capped at order {max_order}, got {group.order}"
+            f"subgroup enumeration capped at order {SUBGROUP_ENUM_MAX_ORDER}, got {group.order}"
         )
     if group._subgroups is None:
         group._subgroups = _all_subgroups(group)

@@ -41,6 +41,13 @@ KIND_S = "s"
 KINDS = (KIND_D, KIND_DK, KIND_ETA, KIND_S)
 
 
+def _check_kind(kind, k):
+    if kind not in KINDS:
+        raise InvalidInputError(f"unknown kind {kind!r}")
+    if kind == KIND_DK and (k is None or k < 1):
+        raise InvalidInputError("kind 'dk' needs k >= 1")
+
+
 # ---------------------------------------------------------------------------
 # Closed-form values
 
@@ -80,8 +87,8 @@ def formula_oracle(group: Group, kind: str, k: int | None = None):
     For kind "s" on the rank-three family with n >= 2 the value is only
     emitted when m is known to have Property D.
     """
-    if kind == KIND_DK and (k is None or k < 1):
-        raise InvalidInputError("kind 'dk' needs k >= 1")
+    if kind not in ("d0", "kd"):
+        _check_kind(kind, k)
     if group.rank <= 2:
         m, n = rank_two_split(group)
         if kind == KIND_D:
@@ -96,7 +103,6 @@ def formula_oracle(group: Group, kind: str, k: int | None = None):
             return m - 1
         if kind == "kd":
             return 1
-        raise InvalidInputError(f"unknown kind {kind!r}")
     three = _rank_three_params(group)
     if three is not None:
         m, n = three
@@ -118,9 +124,6 @@ def formula_oracle(group: Group, kind: str, k: int | None = None):
             return 2 * m if n >= 2 else 2 * m + 1
         if kind == "kd":
             return 1 if n >= 2 else 2
-        raise InvalidInputError(f"unknown kind {kind!r}")
-    if kind not in KINDS and kind not in ("d0", "kd"):
-        raise InvalidInputError(f"unknown kind {kind!r}")
     return None
 
 
@@ -262,79 +265,57 @@ class _DkState:
         return None
 
 
-def _search(group, kind, state, budget, orbit_pruning, anchor_zero,
-            resume, restrict_prefix, k=None, verify=None) -> InvariantResult:
-    out = dfs_run(group, state, budget=budget, orbit_pruning=orbit_pruning,
-                  anchor_zero=anchor_zero, resume=resume,
-                  restrict_prefix=restrict_prefix)
-    witness = Sequence.from_indices(group, out.witness) if out.witness is not None else None
-    if witness is not None and verify is not None:
-        # a valid witness must fail the defining property at length best
-        if len(witness) != out.best or verify(witness):
-            raise InvalidInputError(
-                f"search witness fails re-verification for {kind} over {group.label()}")
-    return InvariantResult(group, kind, out.best + 1, "search", k=k,
-                           witness=witness, stats=out.stats,
-                           status=out.status, checkpoint=out.checkpoint)
-
-
-def compute_davenport(group: Group, budget: Budget | None = None, *,
-                      orbit_pruning=True, resume=None,
-                      restrict_prefix=None) -> InvariantResult:
-    """D(G): 1 + maximum length of a zero-sum-free sequence."""
-    return _search(group, KIND_D, DavenportState(group), budget,
-                   orbit_pruning, False, resume, restrict_prefix,
-                   verify=has_nonempty_zero_sum)
-
-
-def compute_eta(group: Group, budget: Budget | None = None, *,
-                orbit_pruning=True, resume=None,
-                restrict_prefix=None) -> InvariantResult:
-    """eta(G): 1 + maximum length avoiding short zero-sum subsequences."""
-    return _search(group, KIND_ETA, short_zero_sum_state(group), budget,
-                   orbit_pruning, False, resume, restrict_prefix,
-                   verify=has_short_zero_sum)
-
-
-def compute_s(group: Group, budget: Budget | None = None, *,
-              orbit_pruning=True, resume=None,
-              restrict_prefix=None) -> InvariantResult:
-    """s(G): 1 + maximum length avoiding zero-sums of length exp(G).
-
-    The property is translation invariant, so the search anchors the
-    smallest element at 0; every extremal translation class has such a
-    representative.
+def search_state(group: Group, kind: str, k: int | None = None):
+    """The DFS state of a kind's search: it refuses exactly the pushes that
+    give the prefix the kind's property (a non-empty zero-sum for d, k
+    disjoint ones for dk, a short one for eta, one of length exp(G) for s).
     """
-    exp = group.exponent
-    return _search(group, KIND_S, exact_length_state(group, exp), budget,
-                   orbit_pruning, True, resume, restrict_prefix,
-                   verify=lambda w: has_zero_sum_of_length(w, exp))
+    _check_kind(kind, k)
+    if kind == KIND_D:
+        return DavenportState(group)
+    if kind == KIND_DK:
+        return _DkState(group, k)
+    if kind == KIND_ETA:
+        return short_zero_sum_state(group)
+    return exact_length_state(group, group.exponent)
 
 
-def compute_dk(group: Group, k: int, budget: Budget | None = None, *,
-               orbit_pruning=True, resume=None,
-               restrict_prefix=None) -> InvariantResult:
-    """D_k(G): 1 + maximum length without k disjoint zero-sum subsequences."""
-    if k < 1:
-        raise InvalidInputError("k must be >= 1")
-    return _search(group, KIND_DK, _DkState(group, k), budget,
-                   orbit_pruning, False, resume, restrict_prefix, k=k,
-                   verify=lambda w: max_disjoint_zero_sums(w, k) >= k)
+def has_property(seq: Sequence, kind: str, k: int | None = None) -> bool:
+    """Whether seq has the kind's property, re-checked by the engine's
+    detectors; the sequences a kind's search keeps are those without it."""
+    _check_kind(kind, k)
+    if kind == KIND_D:
+        return has_nonempty_zero_sum(seq)
+    if kind == KIND_DK:
+        return max_disjoint_zero_sums(seq, k) >= k
+    if kind == KIND_ETA:
+        return has_short_zero_sum(seq)
+    return has_zero_sum_of_length(seq, seq.group.exponent)
 
 
 def compute(group: Group, kind: str, k: int | None = None,
-            budget: Budget | None = None, **kwargs) -> InvariantResult:
-    if kind == KIND_D:
-        return compute_davenport(group, budget, **kwargs)
-    if kind == KIND_ETA:
-        return compute_eta(group, budget, **kwargs)
-    if kind == KIND_S:
-        return compute_s(group, budget, **kwargs)
-    if kind == KIND_DK:
-        if k is None:
-            raise InvalidInputError("kind 'dk' needs k")
-        return compute_dk(group, k, budget, **kwargs)
-    raise InvalidInputError(f"unknown kind {kind!r}")
+            budget: Budget | None = None, *, orbit_pruning=True, resume=None,
+            restrict_prefix=None) -> InvariantResult:
+    """The constant of ``kind`` (d, dk with k, eta or s) over ``group``:
+    1 + the maximum length of a sequence without the kind's property.
+
+    The s property is translation invariant, so its search pins 0 as the
+    smallest element; every extremal translation class has such a
+    representative.  ``restrict_prefix`` pins the positions after that
+    anchor.  The witness is re-verified against the property.
+    """
+    anchor = [0] if kind == KIND_S else []
+    out = dfs_run(group, search_state(group, kind, k), budget=budget,
+                  orbit_pruning=orbit_pruning, resume=resume,
+                  restrict_prefix=anchor + list(restrict_prefix or ()))
+    witness = Sequence.from_indices(group, out.witness) if out.witness is not None else None
+    if witness is not None and (len(witness) != out.best or has_property(witness, kind, k)):
+        raise InvalidInputError(
+            f"search witness fails re-verification for {kind} over {group.label()}")
+    return InvariantResult(group, kind, out.best + 1, "search",
+                           k=k if kind == KIND_DK else None, witness=witness,
+                           stats=out.stats, status=out.status,
+                           checkpoint=out.checkpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +342,7 @@ class TailReport:
 
 
 def detect_arithmetic_tail(group: Group, k_max: int,
-                           budget: Budget | None = None, *,
-                           orbit_pruning=True) -> TailReport:
+                           budget: Budget | None = None) -> TailReport:
     """Least k_0 with D_k - k*exp(G) constant on [k_0, k_max], plus that
     constant.  Certified only up to the horizon, hence always provisional.
     """
@@ -370,7 +350,7 @@ def detect_arithmetic_tail(group: Group, k_max: int,
         raise InvalidInputError("need k_max >= 2 to observe a tail")
     values = []
     for k in range(1, k_max + 1):
-        res = compute_dk(group, k, budget, orbit_pruning=orbit_pruning)
+        res = compute(group, KIND_DK, k, budget)
         if res.status != "complete":
             return TailReport(group, k_max, values, None, None, "partial")
         values.append(res.value)
@@ -431,7 +411,7 @@ def check_property_d(m: int, budget: Budget | None = None) -> PropertyDReport:
             if any(v % (m - 1) for v in mult):
                 found["bad"] = Sequence.from_indices(group, prefix)
 
-    out = dfs_run(group, exact_length_state(group, m), target_length=target_len,
+    out = dfs_run(group, search_state(group, KIND_S), target_length=target_len,
                   emit=emit, budget=budget)
     status = "complete" if out.status == "complete" else "inconclusive"
     return PropertyDReport(m, found["bad"] is None, found["count"],

@@ -2,9 +2,9 @@
 
 Sequences are explored as non-decreasing index tuples (one representative
 per multiset).  A search state object owns the incremental pruning data;
-``dfs_run`` owns candidate order, optional automorphism-orbit pruning
-(the first two positions in every mode, and every later position through
-a chain of pointwise stabilisers in maximise mode), node/time budgets, and
+``dfs_run`` owns candidate order, optional automorphism-orbit pruning of
+maximise searches (the first two positions, and every later position
+through a chain of pointwise stabilisers), node/time budgets, and
 resumable checkpoints (the serialized cursor stack).
 """
 
@@ -76,7 +76,8 @@ def canonical_first_two(group: Group):
 
     Restricting the two smallest elements of a multiset to canonical
     representatives under Aut(G) preserves the canonical form of every
-    multiset, hence preserves maxima and existence questions (not counts).
+    multiset, hence preserves maxima and existence questions but not
+    counts; ``dfs_run`` applies it in maximize mode only.
     Orbits are closed under ``Group.automorphism_generators``; a finite
     group is generated as a monoid by any generating set, so these are the
     Aut(G)-orbits.  Unordered pairs a <= b are coded as a*n + b, which
@@ -289,40 +290,41 @@ def orbit_pruning_applies(group: Group) -> bool:
 
 
 def dfs_run(group: Group, state, *, target_length=None, emit=None,
-            budget: Budget | None = None, orbit_pruning=False,
-            anchor_zero=False, resume=None, restrict_prefix=None) -> DfsOutcome:
+            budget: Budget | None = None, orbit_pruning=False, resume=None,
+            restrict_prefix=None) -> DfsOutcome:
     """Run the DFS to completion, exhaustion, or budget.
 
     Maximize mode (``target_length is None``) tracks the deepest node and
     the first witness attaining it, in preorder.  Enumerate mode calls
     ``emit`` with every surviving tuple of exactly ``target_length``
-    elements.  ``restrict_prefix`` pins the first positions (parallel
-    splitting); ``resume`` continues from a checkpoint payload.
+    elements.  ``restrict_prefix`` pins the first positions (an anchor,
+    or parallel splitting); ``resume`` continues from a checkpoint payload.
 
-    Orbit pruning (``orbit_pruning``, for 1 < |G| <= 256) keeps the first
-    element and the first pair among the canonical ones of
-    ``canonical_first_two``.  In maximize mode it also allows a new
-    distinct element b_i at a later position only when b_i is the least
-    point of its orbit under the pointwise stabiliser, in Aut(G), of the
-    distinct elements b_1 < ... < b_(i-1) before it; repeats pass.  This
-    keeps every value and witness.  The witness W is the lexicographically
-    first valid tuple of maximum length, and validity is invariant under
-    Aut(G).  If psi fixed b_1 ... b_(i-1) and mapped b_i to c < b_i, the
-    i smallest terms of psi(W) would be bounded term by term by the sorted
-    prefix with c in place of b_i, so sorted psi(W) would be a valid tuple
-    of the same length lexicographically before W.  So every prefix of W
-    passes the test (and, for the same reason, the first-two rule).  The
-    argument needs a maximum, not a count, so enumerate mode skips the
-    stabiliser test.  Pinned positions bypass both rules; with the
-    witness's own prefix pinned, W still passes every later test.
+    Orbit pruning (``orbit_pruning``, for 1 < |G| <= 256) is for maximize
+    mode only.  It keeps the first element and the first pair among the
+    canonical ones of ``canonical_first_two``, and allows a new distinct
+    element b_i at a later position only when b_i is the least point of
+    its orbit under the pointwise stabiliser, in Aut(G), of the distinct
+    elements b_1 < ... < b_(i-1) before it; repeats pass.  This keeps
+    every value and witness.  The witness W is the lexicographically first
+    valid tuple of maximum length, and validity is invariant under Aut(G).
+    If psi fixed b_1 ... b_(i-1) and mapped b_i to c < b_i, the i smallest
+    terms of psi(W) would be bounded term by term by the sorted prefix
+    with c in place of b_i, so sorted psi(W) would be a valid tuple of the
+    same length lexicographically before W.  So every prefix of W passes
+    the test (and, for the same reason, the first-two rule).  The argument
+    needs a maximum, not a count: both rules drop tuples an enumeration
+    must emit, so enumerate mode refuses ``orbit_pruning``.  Pinned
+    positions bypass both rules; with the witness's own prefix pinned, W
+    still passes every later test.
     """
     n = group.order
     maximize = target_length is None
-    use_orbit = orbit_pruning and orbit_pruning_applies(group)
-    seeds = pairs = None
-    if use_orbit:
+    if orbit_pruning and not maximize:
+        raise InvalidInputError("orbit pruning drops tuples from an enumeration")
+    prune = orbit_pruning and orbit_pruning_applies(group)
+    if prune:
         seeds, pairs = canonical_first_two(group)
-    use_chain = use_orbit and maximize
 
     if not maximize and target_length == 0:
         if emit is not None:
@@ -336,29 +338,26 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     started = time.perf_counter()
     full = (1 << n) - 1
     # chain[d]: pointwise stabiliser of the distinct elements of path[:d]
-    chain = [stabiliser_chain(group)] if use_chain else None
+    chain = [stabiliser_chain(group)] if prune else None
 
     def allowed(depth):
         """Bitmask of the elements allowed at this depth, before the
         non-decreasing cut."""
         if restrict_prefix is not None and depth < len(restrict_prefix):
             return 1 << restrict_prefix[depth]
+        if not prune:
+            return full
         if depth == 0:
-            if anchor_zero:
-                return 1
-            if use_orbit:
-                return sum(1 << g for g in seeds)
-        elif depth == 1 and use_orbit:
+            return sum(1 << g for g in seeds)
+        if depth == 1:
             a = path[0]
             return sum(1 << b for b in range(a, n) if (a, b) in pairs)
-        elif use_chain:
-            return chain[-1].mask | (1 << path[-1])
-        return full
+        return chain[-1].mask | (1 << path[-1])
 
     def descend(g):
         """Open the frame below the element g just pushed onto the path."""
         cursors.append(g)
-        if use_chain:
+        if prune:
             chain.append(chain[-1].child(g))
         masks.append(allowed(len(path)))
 
@@ -387,7 +386,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         if not rest:
             cursors.pop()
             masks.pop()
-            if use_chain:
+            if prune:
                 chain.pop()
             if path:
                 state.pop(path.pop())

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import zerosum
 from zerosum import CapacityError
 from zerosum.cli import _group_from, main
 from zerosum.groups import CLI_GROUP_MAX_ORDER
@@ -272,22 +275,34 @@ def test_report_suite(capsys, tmp_path):
 
 
 def test_usage_errors_exit_64():
-    proc = subprocess.run(
-        [sys.executable, "-m", "zerosum.cli", "constant", "--group", "2,4"],
-        capture_output=True, text=True)
-    assert proc.returncode == 64
+    # the child imports the package these tests import, installed or not
+    src = str(Path(zerosum.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for args in (["--group", "2,4"], ["--group", "2,4", "--kind", "dk"],
+                 ["--group", "junk", "--kind", "d"]):
+        proc = subprocess.run([sys.executable, "-m", "zerosum.cli", "constant", *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 64, args
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "zerosum.cli", "constant",
-         "--group", "2,4", "--kind", "dk"],
-        capture_output=True, text=True)
-    assert proc.returncode == 64
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "zerosum.cli", "constant",
-         "--group", "junk", "--kind", "d"],
-        capture_output=True, text=True)
-    assert proc.returncode == 64
+@pytest.mark.parametrize("args", [
+    ["lemma-check", "--lemma", "subsum-counterexample"],
+    ["lemma-check", "--lemma", "extraction", "--group", "2,2", "--samples", "-5"],
+    ["lemma-check", "--lemma", "extraction", "--group", "2,2", "--samples", "0"],
+    ["constant", "--group", "2,4", "--kind", "d", "--budget-nodes", "-1"],
+    ["constant", "--group", "2,4", "--kind", "d", "--budget-secs", "-0.5"],
+    ["constant", "--group", "2,4", "--kind", "d", "--threads", "0"],
+    ["report", "--budget-nodes", "-3"],
+], ids=" ".join)
+def test_malformed_numbers_exit_64(args, capsys):
+    try:
+        code = main(args)
+    except SystemExit as exc:           # argparse rejects the value
+        code = exc.code
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_threads_produce_identical_result(capsys):

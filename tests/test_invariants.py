@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,22 +10,20 @@ from zerosum import (
     Sequence,
     check_property_d,
     compute,
-    compute_davenport,
-    compute_dk,
-    compute_eta,
-    compute_s,
     detect_arithmetic_tail,
     formula_oracle,
     has_nonempty_zero_sum,
+    has_property,
     has_short_zero_sum,
     has_zero_sum_of_length,
     make_group,
     max_disjoint_zero_sums,
     property_d_known,
+    search_state,
 )
 from zerosum.search import dfs_run
 
-from conftest import brute_max_disjoint
+from conftest import brute_max_disjoint, brute_subsums
 
 
 def test_property_d_known_set():
@@ -81,7 +80,7 @@ def test_formula_oracle_bad_kind():
     ([], 1), ([5], 5), ([2, 2, 2], 4), ([2, 4], 5), ([3, 3], 5), ([2, 2, 4], 6),
 ])
 def test_davenport_small(factors, expect):
-    res = compute_davenport(make_group(factors))
+    res = compute(make_group(factors), "d")
     assert res.value == expect
     assert res.status == "complete"
     assert len(res.witness) == expect - 1
@@ -92,7 +91,7 @@ def test_davenport_small(factors, expect):
     ([], 1), ([6], 6), ([2, 2, 2], 8), ([2, 4], 6), ([2, 2, 4], 8),
 ])
 def test_eta_small(factors, expect):
-    res = compute_eta(make_group(factors))
+    res = compute(make_group(factors), "eta")
     assert res.value == expect
     assert not has_short_zero_sum(res.witness)
 
@@ -102,7 +101,7 @@ def test_eta_small(factors, expect):
 ])
 def test_s_small(factors, expect):
     group = make_group(factors)
-    res = compute_s(group)
+    res = compute(group, "s")
     assert res.value == expect
     assert not has_zero_sum_of_length(res.witness, group.exponent)
 
@@ -110,14 +109,14 @@ def test_s_small(factors, expect):
 def test_dk_small():
     g = make_group([2, 2, 2])
     for k, expect in [(1, 4), (2, 7), (3, 9), (4, 11)]:
-        res = compute_dk(g, k)
+        res = compute(g, "dk", k)
         assert res.value == expect
         assert max_disjoint_zero_sums(res.witness, k) == k - 1
     for n in (2, 3, 4):
         for k in (1, 2, 3):
-            assert compute_dk(make_group([n]), k).value == k * n
+            assert compute(make_group([n]), "dk", k).value == k * n
     with pytest.raises(InvalidInputError):
-        compute_dk(g, 0)
+        compute(g, "dk", 0)
 
 
 def test_dk_monotone_in_k():
@@ -126,8 +125,8 @@ def test_dk_monotone_in_k():
     # D_2(C_2^3) = 7 = D_1 + 3)
     for factors in ([4], [5], [2, 2], [2, 4], [2, 2, 2]):
         group = make_group(factors)
-        d = compute_davenport(group).value
-        values = [compute_dk(group, k).value for k in range(1, 5)]
+        d = compute(group, "d").value
+        values = [compute(group, "dk", k).value for k in range(1, 5)]
         for a, b in zip(values, values[1:]):
             assert a < b <= a + d, (factors, values)
         tail = detect_arithmetic_tail(group, 4)
@@ -137,26 +136,26 @@ def test_dk_monotone_in_k():
 
 def test_d1_equals_davenport(small_groups):
     for group in small_groups[:8]:
-        assert compute_dk(group, 1).value == compute_davenport(group).value
+        assert compute(group, "dk", 1).value == compute(group, "d").value
 
 
 def test_trivial_group_conventions():
     t = make_group([])
-    assert compute_davenport(t).value == 1
-    assert compute_eta(t).value == 1
-    assert compute_s(t).value == 1
+    assert compute(t, "d").value == 1
+    assert compute(t, "eta").value == 1
+    assert compute(t, "s").value == 1
     for k in (1, 2, 3):
-        assert compute_dk(t, k).value == k
+        assert compute(t, "dk", k).value == k
 
 
 def test_witness_local_maximality():
     # every one-element extension of a maximal witness gains the property
     group = make_group([3, 3])
-    res = compute_davenport(group)
+    res = compute(group, "d")
     for g in range(group.order):
         extended = res.witness * Sequence.from_indices(group, [g])
         assert has_nonempty_zero_sum(extended)
-    res = compute_eta(group)
+    res = compute(group, "eta")
     for g in range(group.order):
         extended = res.witness * Sequence.from_indices(group, [g])
         assert has_short_zero_sum(extended)
@@ -165,21 +164,21 @@ def test_witness_local_maximality():
 def test_search_matches_oracle_spot(small_groups):
     rng = random.Random(20)
     for group in small_groups[:8]:
-        assert compute_davenport(group).value == formula_oracle(group, "d")
+        assert compute(group, "d").value == formula_oracle(group, "d")
 
 
 def test_orbit_pruning_does_not_change_values():
     for factors in ([2, 4], [3, 3], [2, 2, 2]):
         g = make_group(factors)
-        assert compute_eta(g, orbit_pruning=False).value == \
-            compute_eta(g, orbit_pruning=True).value
-        assert compute_s(g, orbit_pruning=False).value == \
-            compute_s(g, orbit_pruning=True).value
+        assert compute(g, "eta", orbit_pruning=False).value == \
+            compute(g, "eta", orbit_pruning=True).value
+        assert compute(g, "s", orbit_pruning=False).value == \
+            compute(g, "s", orbit_pruning=True).value
 
 
 def test_budget_gives_partial_lower_bound():
     g = make_group([2, 4, 4])
-    res = compute_davenport(g, Budget(max_nodes=2000))
+    res = compute(g, "d", budget=Budget(max_nodes=2000))
     assert res.status == "partial"
     assert res.checkpoint is not None
     assert res.value <= 8
@@ -188,13 +187,13 @@ def test_budget_gives_partial_lower_bound():
 
 def test_resume_reaches_identical_result():
     g = make_group([3, 9])
-    full = compute_davenport(g)
-    partial = compute_davenport(g, Budget(max_nodes=5000))
+    full = compute(g, "d")
+    partial = compute(g, "d", budget=Budget(max_nodes=5000))
     assert partial.status == "partial"
     rounds = 0
     while partial.status == "partial":
-        partial = compute_davenport(g, Budget(max_nodes=50000),
-                                    resume=partial.checkpoint)
+        partial = compute(g, "d", budget=Budget(max_nodes=50000),
+                          resume=partial.checkpoint)
         rounds += 1
         assert rounds < 50
     assert partial.value == full.value
@@ -238,14 +237,45 @@ def test_compute_dispatch():
     g = make_group([4])
     assert compute(g, "d").value == 4
     assert compute(g, "dk", k=2).value == 8
-    with pytest.raises(InvalidInputError):
-        compute(g, "dk")
-    with pytest.raises(InvalidInputError):
-        compute(g, "bogus")
+    seq = Sequence.from_indices(g, [1])
+    for kind, k in (("dk", None), ("dk", 0), ("bogus", None)):
+        with pytest.raises(InvalidInputError):
+            compute(g, kind, k)
+        with pytest.raises(InvalidInputError):
+            search_state(g, kind, k)
+        with pytest.raises(InvalidInputError):
+            has_property(seq, kind, k)
+
+
+@pytest.mark.parametrize("kind,k", [("d", None), ("dk", 2), ("eta", None), ("s", None)])
+@pytest.mark.parametrize("factors", [[6], [2, 4], [2, 2, 2]], ids=str)
+def test_search_state_keeps_exactly_the_sequences_without_the_property(factors, kind, k):
+    """has_property agrees with the brute-force oracles on every multiset
+    of length at most 6, and dfs_run's enumeration with search_state emits
+    exactly those without the property, in lexicographic order."""
+    group = make_group(factors)
+    exp = group.exponent
+    for length in range(7):
+        lacking = []
+        for combo in itertools.combinations_with_replacement(range(group.order), length):
+            seq = Sequence.from_indices(group, combo)
+            if kind == "dk":
+                expected = brute_max_disjoint(seq) >= k
+            else:
+                lengths = brute_subsums(seq)[0] - {0}
+                expected = {"d": bool(lengths), "eta": any(L <= exp for L in lengths),
+                            "s": exp in lengths}[kind]
+            assert has_property(seq, kind, k) == expected, combo
+            if not expected:
+                lacking.append(combo)
+        emitted = []
+        dfs_run(group, search_state(group, kind, k), target_length=length,
+                emit=emitted.append)
+        assert emitted == lacking, length
 
 
 def test_result_json_shape():
-    res = compute_eta(make_group([2, 4]))
+    res = compute(make_group([2, 4]), "eta")
     payload = res.to_json()
     assert payload["group"] == [2, 4]
     assert payload["kind"] == "eta"

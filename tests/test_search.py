@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from zerosum import Sequence, make_group
+from zerosum import InvalidInputError, Sequence, make_group
 from zerosum.search import (
     Budget,
     canonical_first_two,
@@ -126,12 +126,23 @@ def test_elementary_abelian_stabilisers_above_old_cap(rank):
             assert node.mask == sum(1 << x for x in span | {outside} - {None})
 
 
-class _AcceptAll:
+class _RefuseSecond:
+    """Records every tuple offered and refuses every push at depth 1, so
+    a maximise search tries each allowed first element and pair once."""
+
+    def __init__(self):
+        self.path = []
+        self.tried = []
+
     def try_push(self, g):
+        self.tried.append(tuple(self.path) + (g,))
+        if self.path:
+            return False
+        self.path.append(g)
         return True
 
     def pop(self, g):
-        pass
+        self.path.pop()
 
     def slack(self):
         return None
@@ -141,16 +152,24 @@ def test_dfs_run_prunes_orbits_at_order_128():
     group = make_group([2, 8, 8])
     seeds, pairs = canonical_first_two(group)
     assert len(seeds) < group.order
-    prefixes = []
-    out = dfs_run(group, _AcceptAll(), target_length=2, emit=prefixes.append,
-                  budget=Budget(max_nodes=1000), orbit_pruning=True)
+    state = _RefuseSecond()
+    out = dfs_run(group, state, budget=Budget(max_nodes=1000), orbit_pruning=True)
     assert out.status == "complete"
-    assert {p[0] for p in prefixes} == seeds
-    assert set(prefixes) == pairs
-    # without pruning the 8,256 pairs exceed the same budget
-    out = dfs_run(group, _AcceptAll(), target_length=2,
-                  budget=Budget(max_nodes=1000), orbit_pruning=False)
+    assert {t[0] for t in state.tried if len(t) == 1} == seeds
+    assert {t for t in state.tried if len(t) == 2} == pairs
+    # without pruning the 128 first elements and 8,256 pairs exceed the
+    # same budget
+    out = dfs_run(group, _RefuseSecond(), budget=Budget(max_nodes=1000),
+                  orbit_pruning=False)
     assert out.status == "partial"
+
+
+def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
+    # the orbit rules keep maxima, not counts
+    group = make_group([2, 2])
+    with pytest.raises(InvalidInputError):
+        dfs_run(group, short_zero_sum_state(group), target_length=2,
+                emit=[].append, orbit_pruning=True)
 
 
 @pytest.mark.parametrize("factors", [[7], [2, 6], [4, 4], [2, 2, 4], [2, 2, 2, 2]], ids=str)
