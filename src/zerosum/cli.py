@@ -145,6 +145,15 @@ def _group_from(spec):
     return group
 
 
+def _exit_code(status: str, verified) -> int:
+    """README's exit code of a run: 2 when its budget ran out, whatever
+    was verified so far; else 0 when every verification passed, 1 when
+    one failed."""
+    if status != "complete":
+        return EXIT_BUDGET
+    return EXIT_OK if verified else EXIT_FALSIFIED
+
+
 def _checked_record(result) -> dict:
     """A search result's record with its closed-form value and whether the
     two agree (None when no formula covers it or the search is partial)."""
@@ -186,13 +195,9 @@ def _cmd_constant(args) -> int:
                          resume=resume)
     record = _checked_record(result)
     _emit({"command": "constant", "result": record}, args)
-    if result.status != "complete":
-        if args.checkpoint and result.checkpoint is not None:
-            _store_checkpoint(args.checkpoint, {"job": job, "search": result.checkpoint})
-        return EXIT_BUDGET
-    if record["match"] is False:
-        return EXIT_FALSIFIED
-    return EXIT_OK
+    if result.status != "complete" and args.checkpoint and result.checkpoint is not None:
+        _store_checkpoint(args.checkpoint, {"job": job, "search": result.checkpoint})
+    return _exit_code(result.status, record["match"] is not False)
 
 
 def _parallel_constant(group, args, budget):
@@ -271,7 +276,7 @@ def _cmd_witness(args) -> int:
         "verified": verified,
     }
     _emit({"command": "witness", "result": record}, args)
-    return EXIT_OK if verified else EXIT_FALSIFIED
+    return _exit_code("complete", verified)
 
 
 def _cmd_classify(args) -> int:
@@ -284,9 +289,7 @@ def _cmd_classify(args) -> int:
     else:
         raise InvalidInputError("classify kind must be eta or s")
     _emit({"command": "classify", "result": report.to_json()}, args)
-    if report.status != "complete":
-        return EXIT_BUDGET
-    return EXIT_OK if report.matched == report.total else EXIT_FALSIFIED
+    return _exit_code(report.status, report.matched == report.total)
 
 
 def _cmd_property_d(args) -> int:
@@ -295,49 +298,38 @@ def _cmd_property_d(args) -> int:
     budget = _budget_from(args)
     report = check_property_d(args.m, budget)
     _emit({"command": "property-d", "result": report.to_json()}, args)
-    if report.status != "complete":
-        return EXIT_BUDGET
-    return EXIT_OK if report.holds else EXIT_FALSIFIED
+    return _exit_code(report.status, report.holds)
 
 
 def _cmd_lemma_check(args) -> int:
     budget = _budget_from(args)
+    status = "complete"
+    if args.lemma in ("stability", "subsum"):
+        group = _group_from(args.group)
+        enumerate_extremal = (enumerate_eta_extremal if args.kind == KIND_ETA
+                              else enumerate_s_extremal)
+        sequences, out = enumerate_extremal(group, budget)
+        status = out.status
     if args.lemma == "stability":
-        group = _group_from(args.group)
-        report = check_stability(group, args.kind, budget=budget)
-        _emit({"command": "lemma-check", "lemma": "stability",
-               "result": report.to_json()}, args)
-        return EXIT_OK if report.holds else EXIT_FALSIFIED
-    if args.lemma == "subsum":
-        group = _group_from(args.group)
-        if args.kind == KIND_ETA:
-            sequences, out = enumerate_eta_extremal(group, budget)
-        else:
-            sequences, out = enumerate_s_extremal(group, budget)
+        # a partial enumeration is checked as far as it got
+        report = check_stability(group, args.kind, sequences=sequences)
+        payload, verified = {"result": report.to_json()}, report.holds
+    elif args.lemma == "subsum":
         results = []
-        all_ok = True
         for seq in sequences:
             cert = find_subsum_certificate(seq, args.kind)
-            ok = cert is not None and verify_subsum_certificate(seq, cert)
-            all_ok = all_ok and ok
             results.append({
                 "sequence": seq.to_json(),
                 "certificate": cert.to_json() if cert else None,
-                "verified": ok,
+                "verified": cert is not None and verify_subsum_certificate(seq, cert),
             })
-        _emit({"command": "lemma-check", "lemma": "subsum",
-               "results": results}, args)
-        if out.status != "complete":
-            return EXIT_BUDGET
-        return EXIT_OK if all_ok else EXIT_FALSIFIED
-    if args.lemma == "subsum-counterexample":
+        payload, verified = {"results": results}, all(r["verified"] for r in results)
+    elif args.lemma == "subsum-counterexample":
         if args.m is None:
             raise InvalidInputError("lemma subsum-counterexample needs --m")
         report = square_counterexample_report(args.m)
-        _emit({"command": "lemma-check", "lemma": "subsum-counterexample",
-               "result": report.to_json()}, args)
-        return EXIT_OK if report.confirmed else EXIT_FALSIFIED
-    if args.lemma == "extraction":
+        payload, verified = {"result": report.to_json()}, report.confirmed
+    else:
         import random
 
         from .engine import extract_exp_length_zero_sum
@@ -345,11 +337,14 @@ def _cmd_lemma_check(args) -> int:
         group = _group_from(args.group)
         eta = formula_oracle(group, KIND_ETA)
         if eta is None:
-            eta = compute(group, KIND_ETA, budget=budget).value
+            found = compute(group, KIND_ETA, budget=budget)
+            eta, status = found.value, found.status
+        # a partial search gives only a lower bound on eta: check nothing
+        samples = args.samples if status == "complete" else 0
         rng = random.Random(args.seed)
         length = eta + group.exponent - 1
         failures = 0
-        for _ in range(args.samples):
+        for _ in range(samples):
             idxs = [rng.randrange(group.order) for _ in range(length)]
             seq = Sequence.from_indices(group, idxs)
             anchor = rng.choice(idxs)
@@ -359,11 +354,13 @@ def _cmd_lemma_check(args) -> int:
                   and res.sum().index == 0 and res.divides(seq))
             if not ok:
                 failures += 1
-        _emit({"command": "lemma-check", "lemma": "extraction",
-               "result": {"group": list(group.invariant_factors), "eta": eta,
-                          "samples": args.samples, "failures": failures}}, args)
-        return EXIT_OK if failures == 0 else EXIT_FALSIFIED
-    raise InvalidInputError(f"unknown lemma {args.lemma!r}")
+        payload = {"result": {"group": list(group.invariant_factors), "eta": eta,
+                              "samples": samples, "failures": failures}}
+        verified = failures == 0
+    if status != "complete":
+        payload["status"] = status
+    _emit({"command": "lemma-check", "lemma": args.lemma, **payload}, args)
+    return _exit_code(status, verified)
 
 
 _REPORT_ENTRIES = [
@@ -398,10 +395,7 @@ def _cmd_report(args) -> int:
                       orbit_pruning=not args.no_orbit_pruning)
         record = _checked_record(res)
         results.append(record)
-        if res.status != "complete":
-            worst = max(worst, EXIT_BUDGET)
-        elif record["match"] is False:
-            worst = EXIT_FALSIFIED
+        worst = max(worst, _exit_code(res.status, record["match"] is not False))
     _emit({"command": "report", "suite": args.suite, "results": results}, args)
     return worst
 

@@ -170,8 +170,6 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
     Greedy on the smallest support element with a suffix-feasibility table,
     so the result is deterministic.
     """
-    if length == 0:
-        return () if target == 0 else None
     support, suffix = _suffix_tables(group, mult, length, hom, image_group)
     if not (_slot(suffix[0], target, length) >> length) & 1:
         return None
@@ -183,30 +181,26 @@ def _lex_smallest_walk(target_group: Group, mult, support, suffix, max_len: int,
                        length: int, target: int, hom=None):
     """The greedy walk of ``extract_lex_smallest`` on suffix tables that
     ``_suffix_tables`` built with any ``max_len >= length``."""
+    neg = target_group.neg_table()
+    add = target_group.add_index
     chosen = []
     remaining = length
-    tgt = target
     for k, g in enumerate(support):
         if remaining == 0:
             break
-        img = hom[g] if hom is not None else g
-        best_c = None
-        c_max = min(mult[g], remaining)
-        # walk multiples of img backwards from c_max
-        shift = target_group.scale_index(c_max, img)
-        cur = target_group.add_index(tgt, target_group.neg_index(shift))
-        for c in range(c_max, -1, -1):
-            need = remaining - c
-            if (_slot(suffix[k + 1], cur, max_len) >> need) & 1:
-                best_c = c
+        step = neg[hom[g] if hom is not None else g]
+        # left[c] is what the later elements must sum to after c copies of g
+        left = [target]
+        for _ in range(min(mult[g], remaining)):
+            left.append(add(left[-1], step))
+        for c in range(len(left) - 1, -1, -1):
+            if (_slot(suffix[k + 1], left[c], max_len) >> (remaining - c)) & 1:
                 break
-            cur = target_group.add_index(cur, img)
-        if best_c is None:
+        else:
             return None
-        chosen.extend([g] * best_c)
-        tgt = target_group.add_index(tgt, target_group.neg_index(
-            target_group.scale_index(best_c, img)))
-        remaining -= best_c
+        chosen.extend([g] * c)
+        target = left[c]
+        remaining -= c
     if remaining:
         return None
     return tuple(chosen)
@@ -490,9 +484,10 @@ class ExtractionFailure:
 def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
     """Check the premises of the two extractions and shift by -anchor.
 
-    Returns the anchor a, the shifted pilot, the rest (the shifted
-    sequence without the shifted pilot) and the greatest length at most
-    exp(G) of a zero-sum subsequence of the rest (0 when there is none).
+    Returns the anchor a, the multiplicity lists of the shifted pilot and
+    of the rest (the shifted sequence without the shifted pilot), and the
+    lexicographically smallest zero-sum subsequence of the rest among those
+    of the greatest length at most exp(G) (empty when there is none).
     """
     group = seq.group
     if pilot.group != group or seq.group != group:
@@ -513,11 +508,19 @@ def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
     if len(seq) < required_len:
         raise InvalidInputError(
             f"sequence length {len(seq)} below required {required_len}")
-    shifted_pilot = pilot.translate(-a)
-    rest = seq.translate(-a).quotient(shifted_pilot)
-    cap = min(group.exponent, len(rest))
-    tlen = _slot(_reach_masks(group, rest.mult, cap), 0, cap).bit_length() - 1
-    return a, shifted_pilot, rest, tlen
+    # translating by -a permutes the multiplicity list
+    neg_a = group.neg_index(a.index)
+    shifted_pilot = [0] * group.order
+    rest = [0] * group.order
+    for g, v in enumerate(seq.mult):
+        if v:
+            h = group.add_index(g, neg_a)
+            shifted_pilot[h] = pilot.mult[g]
+            rest[h] = v - pilot.mult[g]
+    cap = min(group.exponent, len(seq) - len(pilot))
+    support, tables = _suffix_tables(group, rest, cap)
+    tlen = _slot(tables[0], 0, cap).bit_length() - 1
+    return a, shifted_pilot, rest, _lex_smallest_walk(group, rest, support, tables, cap, tlen, 0)
 
 
 def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int):
@@ -531,21 +534,22 @@ def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int
     """
     group = seq.group
     exp = group.exponent
-    a, shifted_pilot, rest, tlen = _pilot_prologue(seq, pilot, anchor, eta + exp - 1)
+    a, shifted_pilot, rest, t_part = _pilot_prologue(seq, pilot, anchor, eta + exp - 1)
+    tlen = len(t_part)
     if len(pilot) >= exp - tlen:
-        t_part = extract_lex_smallest(group, rest.mult, tlen, 0) if tlen else ()
-        c_part = extract_lex_smallest(group, shifted_pilot.mult, exp - tlen, 0)
+        c_part = extract_lex_smallest(group, shifted_pilot, exp - tlen, 0)
         if c_part is None:
             return ExtractionFailure(
                 "pilot-zero-sum",
                 f"pilot has no zero-sum piece of length {exp - tlen} after shifting")
-        result = Sequence.from_indices(group, list(t_part) + list(c_part)).translate(a)
+        result = Sequence.from_indices(group, [group.add_index(i, a.index)
+                                               for i in t_part + c_part])
         if not result.divides(seq) or result.sum().index != 0 or len(result) != exp:
             raise InvalidInputError("internal extraction produced an invalid witness")
         return result
     return ExtractionFailure(
         "eta-bound",
-        f"residual of length {len(rest) - tlen} >= eta={eta} has no short zero-sum; "
+        f"residual of length {sum(rest) - tlen} >= eta={eta} has no short zero-sum; "
         "the supplied eta exceeds the true value")
 
 
@@ -558,25 +562,18 @@ def extract_short_zero_sum_free(seq: Sequence, pilot: Sequence, anchor, eta: int
     """
     group = seq.group
     exp = group.exponent
-    _, _, rest, tlen = _pilot_prologue(seq, pilot, anchor, (eta - 1) + exp - 1)
+    _, _, residual, t_part = _pilot_prologue(seq, pilot, anchor, (eta - 1) + exp - 1)
     if has_zero_sum_of_length(seq, exp):
         raise InvalidInputError("sequence already has a zero-sum of length exp(G)")
-    if len(pilot) >= exp - tlen:
+    if len(pilot) >= exp - len(t_part):
         return ExtractionFailure(
             "exp-free-premise",
             "an exp-length zero-sum is constructible although the sequence was exp-zero-sum-free")
-    t_part = extract_lex_smallest(group, rest.mult, tlen, 0) if tlen else ()
-    work = list(rest.mult)
     for i in t_part:
-        work[i] -= 1
-    residual = Sequence(group, work)
-    if len(residual) < eta - 1:
+        residual[i] -= 1
+    if sum(residual) < eta - 1:
         return ExtractionFailure(
             "eta-bound", f"residual shorter than eta-1={eta - 1}")
-    picked = []
-    for i, v in enumerate(residual.mult):
-        take = min(v, eta - 1 - len(picked))
-        picked.extend([i] * take)
-        if len(picked) == eta - 1:
-            break
-    return Sequence.from_indices(group, picked)
+    # the first eta-1 terms of the residual in index order
+    picked = [i for i, v in enumerate(residual) for _ in range(v)]
+    return Sequence.from_indices(group, picked[:max(eta - 1, 0)])

@@ -325,7 +325,7 @@ def check_stability(group: Group, kind: str, sequences=None,
             raise InvalidInputError("extremal enumeration did not complete")
     for i, a in enumerate(sequences):
         for b in sequences[i + 1:]:
-            if len(a.gcd(b)) >= len(a) - 1:
+            if sum(map(min, a.mult, b.mult)) >= len(a) - 1:
                 return StabilityReport(group, kind, False, (a, b), len(sequences))
     return StabilityReport(group, kind, True, None, len(sequences))
 
@@ -349,20 +349,25 @@ class SubsumCertificate:
         }
 
 
-def _coverage_sets(seq: Sequence, variant: str):
-    group = seq.group
-    m, n = rank_two_split(group)
+def _missed_elements(seq: Sequence, variant: str):
+    """The length bound mn-2 and the bitmask of the elements that the
+    variant needs covered and the reach table misses: nonzero elements
+    without a non-empty subsum of length at most the bound (eta), or
+    elements without a subsum of length exactly the bound (s)."""
+    m, n = rank_two_split(seq.group)
     bound = m * n - 2
-    rt = reach_table(seq, min(bound, len(seq)) if bound >= 0 else 0)
     if variant == KIND_ETA:
-        covered = rt.restricted_sums(bound)
-        required_complement = set(range(group.order)) - covered - {0}
+        window, needed = ((1 << (bound + 1)) - 1) & ~1, ~1    # 0 needs no cover
     elif variant == KIND_S:
-        covered = rt.sums_of_length(bound) if bound <= len(seq) else set()
-        required_complement = set(range(group.order)) - covered
+        window, needed = (1 << bound if bound >= 0 else 0), ~0
     else:
         raise InvalidInputError(f"variant must be eta or s, got {variant!r}")
-    return bound, covered, required_complement
+    missing = 0
+    table = reach_table(seq, min(bound, len(seq)) if bound >= 0 else 0)
+    for e, lengths in enumerate(table.masks):
+        if not lengths & window:
+            missing |= 1 << e
+    return bound, missing & needed
 
 
 def find_subsum_certificate(seq: Sequence, variant: str):
@@ -378,16 +383,14 @@ def find_subsum_certificate(seq: Sequence, variant: str):
     with every length-(n-2) subsum, so no certificate exists for them.
     """
     group = seq.group
-    bound, _, missing = _coverage_sets(seq, variant)
+    bound, missing = _missed_elements(seq, variant)
     subgroups = enumerate_subgroups(group, proper_only=True)
     subgroups.sort(key=lambda s: (-s.order, s.mask))
     for sub in subgroups:
         for kp in range(group.order):
             if sub.contains_index(kp):
                 continue
-            neg_kp = group.neg_index(kp)
-            coset = {group.add_index(neg_kp, h) for h in sub.member_indices()}
-            if missing <= coset:
+            if not missing & ~group.translate_mask(sub.mask, group.neg_index(kp)):
                 return SubsumCertificate(sub, group.element(kp), bound, variant)
     return None
 
@@ -395,10 +398,9 @@ def find_subsum_certificate(seq: Sequence, variant: str):
 def verify_subsum_certificate(seq: Sequence, cert: SubsumCertificate) -> bool:
     """Re-check the inclusion from a fresh reach table."""
     group = seq.group
-    _, _, missing = _coverage_sets(seq, cert.variant)
-    neg_kp = group.neg_index(cert.k_prime.index)
-    coset = {group.add_index(neg_kp, h) for h in cert.subgroup.member_indices()}
-    return missing <= coset and not cert.subgroup.contains(cert.k_prime)
+    _, missing = _missed_elements(seq, cert.variant)
+    coset = group.translate_mask(cert.subgroup.mask, group.neg_index(cert.k_prime.index))
+    return not missing & ~coset and not cert.subgroup.contains(cert.k_prime)
 
 
 @dataclass
@@ -436,14 +438,14 @@ def square_counterexample_report(m: int) -> SquareCounterexampleReport:
     b1 = group.element([1, 0])
     b2 = group.element([0, 1])
     seq = Sequence.from_terms(group, [(b1, m - 1), (b2, m - 1), (b1 + b2, m - 1)])
-    bound = m - 2
-    rt = reach_table(seq, bound)
-    covered = rt.restricted_sums(bound)
-    coset_b1 = {(-b1 + k * b2).index for k in range(m)}
-    coset_b2 = {(-b2 + k * b1).index for k in range(m)}
-    cert = find_subsum_certificate(seq, KIND_ETA)
+    # neither coset holds 0, so the subsums miss a coset exactly when it
+    # lies inside the missed elements
+    _, missing = _missed_elements(seq, KIND_ETA)
+
+    def coset_missed(b, c):
+        coset = group.translate_mask(subgroup_generated_by(group, [c]).mask, (-b).index)
+        return not coset & ~missing
+
     return SquareCounterexampleReport(
-        m, seq, cert is not None,
-        not (covered & coset_b1),
-        not (covered & coset_b2),
-    )
+        m, seq, find_subsum_certificate(seq, KIND_ETA) is not None,
+        coset_missed(b1, b2), coset_missed(b2, b1))

@@ -507,7 +507,7 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def contains_index(self, idx: int) -> bool:
         return bool((self.mask >> idx) & 1)
@@ -533,29 +533,27 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.label()})"
 
 
-def _closure_with(group: Group, members: list, g: int) -> list:
-    """Members of the subgroup generated by an existing subgroup and g."""
-    closed = set(members)
-    frontier = list(members)
-    while frontier:
-        x = frontier.pop()
-        y = group.add_index(x, g)
-        if y not in closed:
-            closed.add(y)
-            frontier.append(y)
-    return sorted(closed)
+def _closure_with(group: Group, mask: int, g: int) -> int:
+    """Membership mask of the subgroup generated by the subgroup ``mask``
+    and g: the union of its translates by the multiples of g."""
+    while True:
+        grown = mask | group.translate_mask(mask, g)
+        if grown == mask:
+            return mask
+        mask = grown
 
 
-def _torsion_invariant_factors(group: Group, members: list) -> tuple:
+def _torsion_invariant_factors(group: Group, mask: int) -> tuple:
     """Abstract invariant factors of a subgroup from d-torsion counts.
 
     If H has p-part C_{p^e_1} + ... + C_{p^e_k}, the count of x in H with
     p^j * x = 0 is p^(sum_i min(j, e_i)); the exponent partition is
     recovered from the increments of those logarithms.
     """
-    n = len(members)
+    n = mask.bit_count()
     if n == 1:
         return ()
+    members = [x for x in range(group.order) if (mask >> x) & 1]
     m = n
     primes = []
     p = 2
@@ -598,16 +596,13 @@ def _torsion_invariant_factors(group: Group, members: list) -> tuple:
 
 def subgroup_generated_by(group: Group, gens) -> Subgroup:
     """Smallest subgroup containing the given elements."""
-    members = [0]
+    mask = 1
     gen_elems = []
     for g in gens:
         e = group.element(g)
         gen_elems.append(e)
-        members = _closure_with(group, members, e.index)
-    mask = 0
-    for i in members:
-        mask |= 1 << i
-    return Subgroup(group, mask, tuple(gen_elems), _torsion_invariant_factors(group, members))
+        mask = _closure_with(group, mask, e.index)
+    return Subgroup(group, mask, tuple(gen_elems), _torsion_invariant_factors(group, mask))
 
 
 def enumerate_subgroups(group: Group, proper_only: bool = False):
@@ -634,19 +629,15 @@ def _all_subgroups(group: Group) -> tuple:
     queue = [trivial]
     while queue:
         h = queue.pop(0)
-        members = h.member_indices()
         for g in range(group.order):
             if h.contains_index(g):
                 continue
-            new_members = _closure_with(group, members, g)
-            mask = 0
-            for i in new_members:
-                mask |= 1 << i
+            mask = _closure_with(group, h.mask, g)
             if mask not in seen:
                 sub = Subgroup(
                     group, mask,
                     h.generators + (group.element(g),),
-                    _torsion_invariant_factors(group, new_members),
+                    _torsion_invariant_factors(group, mask),
                 )
                 seen[mask] = sub
                 queue.append(sub)

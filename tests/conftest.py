@@ -82,6 +82,32 @@ def brute_max_disjoint(seq, cap=12):
     return min(cap, rec(seq.mult))
 
 
+def brute_lex_smallest(group, mult, length, target, hom=None, image_group=None):
+    """First sorted index tuple, in lexicographic order, of a sub-multiset
+    of the given length whose sum (projected by hom into image_group) is
+    target, or None; combinations of a sorted list come in that order."""
+    image_group = group if hom is None else image_group
+    terms = [i for i, v in enumerate(mult) for _ in range(v)]
+    for combo in itertools.combinations(terms, length):
+        total = 0
+        for i in combo:
+            total = image_group.add_index(total, i if hom is None else hom[i])
+        if total == target:
+            return combo
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def brute_subgroup_masks(group):
+    """Membership masks of every subgroup, ascending: the subsets that
+    contain 0 and are closed under addition, found among all subsets;
+    tiny groups only."""
+    return tuple(bits for bits in range(1, 1 << group.order, 2)
+                 if all((bits >> group.add_index(a, b)) & 1
+                        for a in range(group.order) if (bits >> a) & 1
+                        for b in range(group.order) if (bits >> b) & 1))
+
+
 def random_sequence(rng, group, max_len):
     length = rng.randrange(0, max_len + 1)
     return Sequence.from_indices(

@@ -256,6 +256,26 @@ def test_lemma_check_extraction(capsys):
     assert result["failures"] == 0 and result["eta"] == 8
 
 
+def test_lemma_check_partial_eta_checks_no_sample(capsys):
+    # eta(C2^4) has no closed form; 10 nodes give only the lower bound 6
+    code, out = run_cli(["lemma-check", "--lemma", "extraction", "--group", "2,2,2,2",
+                         "--samples", "3", "--budget-nodes", "10"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "partial"
+    assert payload["result"]["eta"] < 16
+    assert payload["result"]["samples"] == payload["result"]["failures"] == 0
+
+
+def test_lemma_check_partial_stability_exits_2(capsys):
+    code, out = run_cli(["lemma-check", "--lemma", "stability", "--group", "3,6",
+                         "--kind", "eta", "--budget-nodes", "10"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == "partial"
+    assert payload["result"]["kind"] == "eta"
+
+
 def test_lemma_check_counterexample(capsys):
     code, out = run_cli(["lemma-check", "--lemma", "subsum-counterexample",
                          "--m", "3"], capsys)

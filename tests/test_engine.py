@@ -22,10 +22,12 @@ from zerosum import (
     restricted_sums,
     subgroup_generated_by,
 )
-from zerosum.engine import _iter_minimal_zero_sums, _reach_masks, lifts_disjoint_count
+from zerosum.engine import (_iter_minimal_zero_sums, _reach_masks, extract_lex_smallest,
+                            lifts_disjoint_count)
 from zerosum.errors import CapacityError
 
 from conftest import (
+    brute_lex_smallest,
     brute_max_disjoint,
     brute_minimal_zero_sums,
     brute_subsums,
@@ -260,6 +262,29 @@ def test_projected_reach_table_matches_brute_subsums():
                 table = _reach_masks(group, seq.mult, max_len, qm.table, image)
                 assert unpack_table(table, image.order, max_len) == \
                     {e: {L for L in lengths if L <= max_len} for e, lengths in oracle.items()}
+
+
+@pytest.mark.parametrize("factors", [[6], [3, 3], [2, 4], [2, 2, 4]], ids=str)
+def test_extract_lex_smallest_against_brute_force(factors):
+    """The lexicographically first sorted tuple of each length and target,
+    with and without a quotient map, equals the first match among
+    itertools.combinations of the multiset."""
+    group = make_group(factors)
+    rng = random.Random(sum(factors) * 31 + len(factors))
+    subs = enumerate_subgroups(group)
+    found = 0
+    for _ in range(60):
+        seq = random_sequence(rng, group, 8)
+        sub = rng.choice(subs)
+        qm = quotient(group, sub)
+        for hom, image in ((None, group), (qm.table, qm.target)):
+            for length in range(len(seq) + 2):
+                target = rng.randrange(image.order)
+                expected = brute_lex_smallest(group, seq.mult, length, target, hom, image)
+                assert extract_lex_smallest(group, list(seq.mult), length, target,
+                                            hom, image) == expected, (seq, sub, length, target)
+                found += expected is not None
+    assert found > 100
 
 
 def test_extract_exp_length_zero_sum_pilot_of_zeros():

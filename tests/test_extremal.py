@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from zerosum import (
@@ -24,6 +26,8 @@ from zerosum import (
     verify_subsum_certificate,
 )
 from zerosum.extremal import rank_two_split
+
+from conftest import brute_subgroup_masks, brute_subsums, random_sequence
 
 
 def test_rank_two_split():
@@ -213,6 +217,61 @@ def test_subsum_certificate_for_enumerated_extremals():
     for seq in enumerate_s_extremal(h)[0]:
         cert = find_subsum_certificate(seq, "s")
         assert cert is not None and verify_subsum_certificate(seq, cert), seq
+
+
+def _oracle_certificate(seq, variant):
+    """(subgroup mask, k') of the first certificate, or None, by sets: the
+    missed elements from brute_subsums, the proper subgroups from
+    brute_subgroup_masks by decreasing order then mask, k' ascending, and
+    each coset -k'+K through add_index."""
+    group = seq.group
+    m, n = rank_two_split(group)
+    bound = m * n - 2
+    subsums = brute_subsums(seq)
+    if variant == "eta":
+        missing = {e for e, lengths in subsums.items()
+                   if e and not any(1 <= L <= bound for L in lengths)}
+    else:
+        missing = {e for e, lengths in subsums.items() if bound not in lengths}
+    proper = [k for k in brute_subgroup_masks(group) if k != (1 << group.order) - 1]
+    for mask in sorted(proper, key=lambda k: (-bin(k).count("1"), k)):
+        members = [h for h in range(group.order) if (mask >> h) & 1]
+        for kp in range(group.order):
+            if kp in members:
+                continue
+            if missing <= {group.add_index(group.neg_index(kp), h) for h in members}:
+                return mask, kp
+    return None
+
+
+def test_subsum_certificate_against_set_oracle():
+    """The first certificate equals the set-based oracle's for extremal
+    sequences, their translates through 0 and random sequences, in both
+    variants, and there is none for the square counterexamples (m = 3, 4)
+    and the antipodal sequences over C5."""
+    rng = random.Random(55)
+    cases = []
+    for factors in ([6], [2, 4], [3, 3], [5]):
+        group = make_group(factors)
+        for seq in enumerate_eta_extremal(group)[0] + enumerate_s_extremal(group)[0]:
+            g = rng.choice(seq.support_indices())
+            cases += [seq, seq.translate(-group.element(g))]
+        cases += [random_sequence(rng, group, 9) for _ in range(10)]
+    c5 = make_group([5])
+    no_certificate = [(square_counterexample_report(m).sequence, "eta") for m in (3, 4)]
+    no_certificate += [(Sequence.from_terms(c5, [(x, 4), (5 - x, 4)]), "s") for x in (1, 2)]
+    certified = 0
+    for seq in cases + [seq for seq, _ in no_certificate]:
+        for variant in ("eta", "s"):
+            cert = find_subsum_certificate(seq, variant)
+            found = cert and (cert.subgroup.mask, cert.k_prime.index)
+            assert found == _oracle_certificate(seq, variant), (seq, variant)
+            if cert is not None:
+                assert verify_subsum_certificate(seq, cert)
+                certified += 1
+    for seq, variant in no_certificate:
+        assert find_subsum_certificate(seq, variant) is None, seq
+    assert certified > 50
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])

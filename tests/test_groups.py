@@ -16,6 +16,8 @@ from zerosum import (
 )
 from zerosum.groups import canonical_invariant_factors
 
+from conftest import brute_subgroup_masks
+
 
 def test_make_group_basics():
     g = make_group([2, 4, 8])
@@ -91,26 +93,24 @@ def test_element_operators():
     assert (-a) + a == g.zero()
 
 
-def _brute_subgroup_count(g):
-    # closure check over all subsets; tiny groups only
-    count = 0
-    for bits in range(1 << g.order):
-        if not bits & 1:
-            continue
-        members = [i for i in range(g.order) if (bits >> i) & 1]
-        if all((bits >> g.add_index(a, b)) & 1 for a in members for b in members):
-            count += 1
-    return count
-
-
 def test_enumerate_subgroups_counts():
     c22 = make_group([2, 2])
-    assert len(enumerate_subgroups(c22)) == 5 == _brute_subgroup_count(c22)
+    assert len(enumerate_subgroups(c22)) == 5 == len(brute_subgroup_masks(c22))
     assert len(enumerate_subgroups(make_group([5]))) == 2
     # subspace count of a rank-3 binary space: 1 + 7 + 7 + 1
     assert len(enumerate_subgroups(make_group([2, 2, 2]))) == 16
     c12 = make_group([12])
-    assert len(enumerate_subgroups(c12)) == 6 == _brute_subgroup_count(c12)
+    assert len(enumerate_subgroups(c12)) == 6 == len(brute_subgroup_masks(c12))
+
+
+@pytest.mark.parametrize("factors", [[2, 4], [3, 3], [2, 2, 2]], ids=str)
+def test_enumerate_subgroups_are_the_closed_subsets(factors):
+    group = make_group(factors)
+    subs = enumerate_subgroups(group)
+    assert tuple(sorted(s.mask for s in subs)) == brute_subgroup_masks(group)
+    for s in subs:
+        assert s.order == len(s.member_indices())
+        assert subgroup_generated_by(group, s.generators).mask == s.mask
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

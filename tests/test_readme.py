@@ -1,8 +1,11 @@
 """The README's library tour runs as written and gives the values its
-comments state."""
+comments state; its command-line block runs and exits as README says."""
 
 import re
+import shlex
 from pathlib import Path
+
+from zerosum.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +27,19 @@ def test_readme_library_tour():
         else:
             exec(code, namespace)
     assert checked == ["14", "14", "True"]
+
+
+def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
+    """Every command of README's command-line block, run in order in an
+    empty directory, exits as README's exit codes say: 2 for the run that
+    exhausts its node budget, 0 for the rest."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\s+```\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+    assert len(commands) == 13 and all(argv[0] == "zerosum" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        expected = 2 if "--budget-nodes" in argv else 0
+        assert main(argv[1:]) == expected, argv
+        capsys.readouterr()
+    assert (tmp_path / "ck.json").exists() and (tmp_path / "tables.csv").exists()
