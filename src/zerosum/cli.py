@@ -54,8 +54,9 @@ SCHEMA_VERSION = 1
 # replay against a different search tree.  Version 2 raised the orbit
 # pruning cap from order 64 to 256, so unversioned checkpoints are refused;
 # version 3 prunes every later position of a maximise search by the
-# pointwise stabiliser of the prefix.
-CHECKPOINT_VERSION = 3
+# pointwise stabiliser of the prefix; version 4 adds the multiplicity bound
+# on depth, and the checkpoint carries the slack prune count.
+CHECKPOINT_VERSION = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,6 +223,7 @@ def _parallel_constant(group, args, budget):
         if part.value > merged.value:
             merged = part
     merged.stats.nodes = sum(p.stats.nodes for p in parts)
+    merged.stats.slack_prunes = sum(p.stats.slack_prunes for p in parts)
     merged.stats.seconds = max(p.stats.seconds for p in parts)
     if any(p.status != "complete" for p in parts):
         merged.status = "partial"
@@ -377,6 +379,8 @@ _REPORT_ENTRIES = [
 _REPORT_ENTRIES_LONG = [
     ([2, 4, 4], KIND_ETA, None),
     ([2, 2, 4], KIND_DK, 3),
+    ([2, 4, 4], KIND_S, None), ([2, 2, 8], KIND_S, None),
+    ([2, 4, 8], KIND_ETA, None),
 ]
 
 

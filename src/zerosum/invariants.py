@@ -261,7 +261,7 @@ class _DkState:
         self.families.pop()
         self.frees.pop()
 
-    def slack(self):
+    def slack(self, last=None, run=0):
         return None
 
 

@@ -1,11 +1,12 @@
 """Shared DFS substrate for the invariant searches and enumerations.
 
 Sequences are explored as non-decreasing index tuples (one representative
-per multiset).  A search state object owns the incremental pruning data;
-``dfs_run`` owns candidate order, optional automorphism-orbit pruning of
-maximise searches (the first two positions, and every later position
-through a chain of pointwise stabilisers), node/time budgets, and
-resumable checkpoints (the serialized cursor stack).
+per multiset).  A search state object owns the incremental pruning data
+and its depth bound; ``dfs_run`` owns candidate order, optional
+automorphism-orbit pruning of maximise searches (the first two positions,
+and every later position through a chain of pointwise stabilisers), the
+cut of subtrees that the depth bound shows cannot beat the best, node/time
+budgets, and resumable checkpoints (the serialized cursor stack).
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ class Budget:
 class SearchStats:
     nodes: int = 0
     seconds: float = 0.0
+    slack_prunes: int = 0           # pushes whose subtree the depth bound cut
 
     def to_json(self):
-        return {"nodes": self.nodes, "seconds": round(self.seconds, 3)}
+        return {"nodes": self.nodes, "seconds": round(self.seconds, 3),
+                "slack_prunes": self.slack_prunes}
 
 
 @dataclass
@@ -317,6 +320,21 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     must emit, so enumerate mode refuses ``orbit_pruning``.  Pinned
     positions bypass both rules; with the witness's own prefix pinned, W
     still passes every later test.
+
+    In maximize mode a push is cut, with its subtree, when
+    ``len(path) + state.slack(last, run) <= best``: the state bounds how
+    many terms could still follow a path that ends in ``run`` copies of
+    ``last``.  With orbit pruning ``last`` is the element just pushed and
+    the bound is by multiplicity: a kept sequence holds at most cap(h)
+    copies of h (ord(h) - 1 for D and eta, exp(G) - 1 for s), every later
+    term is at least ``last``, and an element that cannot be pushed now
+    never can be later, since the subsum table only grows.  So at most
+    the sum of cap(h) - mult(h) over the pushable h >= last terms follow.
+    Without orbit pruning the state gets no ``last`` and only D's subsum
+    count bounds the depth, so ``orbit_pruning=False`` stays the reference
+    tree.
+    The cut keeps the witness: no tuple in a cut subtree is longer than
+    ``best``, and the first tuple of that length was met before it.
     """
     n = group.order
     maximize = target_length is None
@@ -329,12 +347,12 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     if not maximize and target_length == 0:
         if emit is not None:
             emit(())
-        return DfsOutcome(0, None, SearchStats(0, 0.0), "complete")
+        return DfsOutcome(0, None, SearchStats(), "complete")
 
     best = 0
     witness = [] if maximize else None
     path = []
-    nodes = 0
+    nodes = slack_prunes = 0
     started = time.perf_counter()
     full = (1 << n) - 1
     # chain[d]: pointwise stabiliser of the distinct elements of path[:d]
@@ -373,6 +391,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         best = resume["best"]
         witness = list(resume["witness"]) if resume.get("witness") is not None else None
         nodes = resume["nodes"]
+        slack_prunes = resume["slack_prunes"]
     start_nodes = nodes
 
     status = "complete"
@@ -400,6 +419,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             checkpoint = {
                 "path": list(path), "cursors": list(cursors),
                 "best": best, "witness": witness, "nodes": nodes,
+                "slack_prunes": slack_prunes,
             }
             status = "partial"
             break
@@ -412,8 +432,10 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             if len(path) > best:
                 best = len(path)
                 witness = list(path)
-            slack = state.slack()
+            # the path is non-decreasing, so every copy of g ends it
+            slack = state.slack(g, path.count(g)) if prune else state.slack()
             if slack is not None and len(path) + slack <= best:
+                slack_prunes += 1
                 state.pop(path.pop())
                 continue
             descend(g)
@@ -425,27 +447,83 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             else:
                 descend(g)
 
-    stats = SearchStats(nodes, time.perf_counter() - started)
+    stats = SearchStats(nodes, time.perf_counter() - started, slack_prunes)
     return DfsOutcome(best, witness, stats, status, checkpoint)
 
 
 # ---------------------------------------------------------------------------
 # Incremental search states
 
+class _MultiplicityBound:
+    """The multiplicity bound of ``dfs_run`` for one kind of packed table.
+
+    Slot x of a table holds ``max_len + 1`` bits, and h can no longer be
+    pushed once slot -h meets ``lengths``; no sequence the search keeps
+    holds more than ``cap(ord(h))`` copies of h.  Adding ``carry`` to the
+    slots that meet ``lengths`` sets their top bits, so the mask
+    ``((table & block) + carry) & tops`` marks every blocked h at the top
+    bit of slot -h (a bitmask of one-bit slots is that mask itself);
+    ``after[last]`` pairs each nonzero cap c with the top bits of the
+    slots -h, h > last, whose cap is c.  Built on the search's first slack
+    query, in O(|G|) mask steps per cap.
+    """
+
+    __slots__ = ("block", "carry", "tops", "cap", "top", "after")
+
+    def __init__(self, group: Group, max_len: int, lengths: int, cap):
+        n = group.order
+        width = max_len + 1
+        ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
+        self.block = lengths * ones
+        self.carry = ((1 << max_len) - 1) * ones
+        self.tops = ones << max_len
+        neg = group.neg_table()
+        self.top = [neg[h] * width + max_len for h in range(n)]
+        orders = [group.order_of_index(h) for h in range(n)]
+        caps = {d: cap(d) for d in set(orders)}
+        if None in caps.values():
+            self.after = None
+            return
+        self.cap = [caps[d] for d in orders]
+        classes = dict.fromkeys(sorted(set(self.cap) - {0}), 0)
+        self.after = [None] * n
+        for h in reversed(range(n)):
+            self.after[h] = tuple(classes.items())
+            if self.cap[h]:
+                classes[self.cap[h]] |= 1 << self.top[h]
+
+    def extra(self, blocked: int, last: int, run: int):
+        """The most terms that can follow a path that ends in ``run``
+        copies of ``last``, given its blocked mask; None when some cap is
+        unbounded."""
+        if self.after is None:
+            return None
+        free = ~blocked
+        extra = 0
+        for c, m in self.after[last]:
+            extra += c * (m & free).bit_count()
+        if (free >> self.top[last]) & 1:
+            extra += self.cap[last] - run
+        return extra
+
+
 class DavenportState:
     """Zero-sum-free prefixes; carries the running subsum bitmask.
 
     Appending g is legal unless -g is already a subsum (or g is 0).  The
     subsum set of a zero-sum-free sequence grows strictly with each term
-    and omits 0, which yields the depth bound used by slack().
+    and omits 0, which yields the depth bound used by slack(); with
+    ``last`` it is capped by the multiplicity bound, h^ord(h) being a
+    zero-sum.
     """
 
-    __slots__ = ("group", "neg", "stack")
+    __slots__ = ("group", "neg", "stack", "bound")
 
     def __init__(self, group: Group):
         self.group = group
         self.neg = group.neg_table()
         self.stack = [0]
+        self.bound = None
 
     def try_push(self, g: int) -> bool:
         sums = self.stack[-1]
@@ -457,8 +535,15 @@ class DavenportState:
     def pop(self, g: int):
         self.stack.pop()
 
-    def slack(self):
-        return (self.group.order - 1) - self.stack[-1].bit_count()
+    def slack(self, last=None, run=0):
+        sums = self.stack[-1]
+        room = (self.group.order - 1) - sums.bit_count()
+        if last is None:
+            return room
+        if self.bound is None:
+            # a bitmask is a table of one-bit slots, h blocked by bit -h
+            self.bound = _MultiplicityBound(self.group, 0, 1, lambda d: d - 1)
+        return min(room, self.bound.extra(sums, last, run))
 
 
 class ReachState:
@@ -468,16 +553,20 @@ class ReachState:
     push adds one copy of g with one translate.  ``forbidden`` is a
     bitmask over lengths; a push creating any forbidden length at element
     0, the table's lowest slot, is rejected.  Covers both the
-    short-zero-sum and the exact-exp-length detectors.
+    short-zero-sum and the exact-exp-length detectors.  With ``last``,
+    slack() is the multiplicity bound: h^L is a zero-sum of length L when
+    ord(h) divides L, so the least such forbidden L caps h at L - 1 copies
+    (ord(h) - 1 for the short detector, exp(G) - 1 for the exp-length one).
     """
 
-    __slots__ = ("group", "width", "keep", "forbidden", "stack")
+    __slots__ = ("group", "width", "keep", "forbidden", "stack", "bound")
 
     def __init__(self, group: Group, max_len: int, forbidden: int):
         self.group = group
         self.width, self.keep = _layout(group.order, max_len)
         self.forbidden = forbidden
         self.stack = [1]
+        self.bound = None
 
     def try_push(self, g: int) -> bool:
         table = self.stack[-1]
@@ -490,8 +579,21 @@ class ReachState:
     def pop(self, g: int):
         self.stack.pop()
 
-    def slack(self):
-        return None
+    def slack(self, last=None, run=0):
+        if last is None:
+            return None
+        if self.bound is None:
+            # a push of h is refused when slot -h holds a length L - 1, L forbidden
+            self.bound = _MultiplicityBound(self.group, self.width - 1,
+                                            self.forbidden >> 1, self._cap)
+        bound = self.bound
+        blocked = ((self.stack[-1] & bound.block) + bound.carry) & bound.tops
+        return bound.extra(blocked, last, run)
+
+    def _cap(self, order):
+        """One less than the least forbidden length that ``order`` divides."""
+        multiples = range(order, self.width, order)
+        return next((L - 1 for L in multiples if (self.forbidden >> L) & 1), None)
 
 
 def short_zero_sum_state(group: Group) -> ReachState:

@@ -130,9 +130,35 @@ def test_criterion_1_formula_reproduction_by_search():
     dk_elapsed = time.time() - t0
     assert dk_elapsed < 600, f"dk block took {dk_elapsed:.0f}s"
 
+    note = ""
+    if LONG_PROFILE:
+        t0 = time.time()
+        _check_hard_searches()
+        note = f", hard {time.time() - t0:.1f}s"
     print(f"\nACCEPTANCE 1 (formula reproduction by search): PASS "
           f"[d {d_elapsed:.1f}s, eta {eta_elapsed:.1f}s, s {s_elapsed:.1f}s, "
-          f"dk {dk_elapsed:.1f}s]")
+          f"dk {dk_elapsed:.1f}s{note}]")
+
+
+# the paper's next instances that the search completes: report --long
+# runs them too
+HARD_SEARCHES = [([2, 4, 4], "s", 17), ([2, 2, 8], "s", 19), ([2, 4, 8], "eta", 16)]
+
+
+def _check_hard_searches():
+    """Each hard search against the formula at zero tolerance, and its
+    witness re-checked by brute-force subsums: no zero-sum of length
+    exp(G) for s, none of length 1..exp(G) for eta."""
+    for factors, kind, expect in HARD_SEARCHES:
+        _check_block([(factors, None, expect)], kind)
+        witness = searched(factors, kind).witness
+        exp = witness.group.exponent
+        zero_lengths = brute_subsums(witness)[0]
+        assert len(witness) == expect - 1
+        if kind == "s":
+            assert exp not in zero_lengths, (factors, kind)
+        else:
+            assert not zero_lengths & set(range(1, exp + 1)), (factors, kind)
 
 
 def _s_family_c0(group):

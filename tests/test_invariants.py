@@ -168,12 +168,16 @@ def test_search_matches_oracle_spot(small_groups):
 
 
 def test_orbit_pruning_does_not_change_values():
-    for factors in ([2, 4], [3, 3], [2, 2, 2]):
+    # the unpruned search uses neither the orbit rules nor the multiplicity
+    # bound, so it checks both
+    for factors in ([2, 4], [3, 3], [2, 2, 2], [2, 2, 4], [4, 4], [2, 6]):
         g = make_group(factors)
-        assert compute(g, "eta", orbit_pruning=False).value == \
-            compute(g, "eta", orbit_pruning=True).value
-        assert compute(g, "s", orbit_pruning=False).value == \
-            compute(g, "s", orbit_pruning=True).value
+        for kind in ("d", "eta", "s"):
+            bare = compute(g, kind, orbit_pruning=False)
+            pruned = compute(g, kind, orbit_pruning=True)
+            assert (pruned.value, pruned.witness) == (bare.value, bare.witness), \
+                (factors, kind)
+            assert pruned.stats.nodes < bare.stats.nodes
 
 
 def test_budget_gives_partial_lower_bound():
@@ -281,23 +285,23 @@ def test_result_json_shape():
     assert payload["kind"] == "eta"
     assert payload["value"] == 6
     assert payload["status"] == "complete"
-    assert set(payload["stats"]) == {"nodes", "seconds"}
+    assert set(payload["stats"]) == {"nodes", "seconds", "slack_prunes"}
     assert payload["witness"]["group"] == [2, 4]
 
 
 # value, witness as sorted indices, and node count of searches whose tree
 # must not change when their pruning state changes representation; the
-# orbit-pruned trees also pin the stabiliser chain, the unpruned ones the
-# bare search
+# orbit-pruned trees also pin the stabiliser chain and the multiplicity
+# bound, the unpruned ones the bare search
 PINNED_SEARCHES = [
-    ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 24269),
-    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 56625),
+    ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 18699),
+    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 43307),
     ([2, 2, 2], "dk", 2, True, 7, [1, 2, 3, 4, 5, 6], 126),
     ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 852),
     ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 4001),
     ([2, 2, 4], "dk", 2, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 19620),
-    ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 12917),
-    ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 5446),
+    ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 6160),
+    ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 1991),
     ([2, 2, 2], "dk", 2, False, 7, [1, 2, 3, 4, 5, 6], 1235),
     ([2, 2, 2], "dk", 3, False, 9, [1, 1, 1, 2, 3, 4, 5, 6], 5971),
     ([2, 2, 4], "eta", None, False, 8, [1, 2, 4, 4, 4, 5, 6], 15214),

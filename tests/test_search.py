@@ -1,7 +1,8 @@
 """Orbit pruning: the canonical first two positions and the chain of
 pointwise stabilisers against the brute-force list of automorphisms, and
 hand-derived orbits above its cap.  The packed subsum tables of the search
-states against brute-force subsums."""
+states against brute-force subsums, and their depth bounds against
+exhaustive extension."""
 
 import functools
 import random
@@ -17,6 +18,7 @@ from zerosum.search import (
     short_zero_sum_state,
     stabiliser_chain,
 )
+from zerosum.invariants import search_state
 
 from conftest import brute_subsums, unpack_table
 
@@ -144,7 +146,7 @@ class _RefuseSecond:
     def pop(self, g):
         self.path.pop()
 
-    def slack(self):
+    def slack(self, last=None, run=0):
         return None
 
 
@@ -200,3 +202,60 @@ def test_reach_state_tables_match_brute_subsums(factors):
             while prefix:
                 state.pop(prefix.pop())
             assert state.stack == [1]
+
+
+def brute_extension(group, kind):
+    """``grow`` and ``longest`` over the subsums of a prefix as a Python set:
+    elements for d, (element, length) pairs of lengths up to exp(G) for eta
+    and s, which is all that decides whether a prefix plus an extension
+    has the kind's property.  ``grow(sums, h)`` is None when appending h
+    gives the property; ``longest(sums, last)`` is the length of the
+    longest extension by terms at least ``last`` that never does."""
+    exp = group.exponent
+    add = group.add_index
+
+    def grow(sums, h):
+        if kind == "d":
+            new = sums | {add(e, h) for e in sums} | {h}
+            return None if 0 in new else new
+        new = sums | {(add(e, h), L + 1) for e, L in sums if L < exp} | {(h, 1)}
+        zero_lengths = {L for e, L in new if e == 0}
+        if zero_lengths if kind == "eta" else exp in zero_lengths:
+            return None
+        return new
+
+    @functools.lru_cache(maxsize=None)
+    def longest(sums, last):
+        best = 0
+        for h in range(last, group.order):
+            new = grow(sums, h)
+            if new is not None:
+                best = max(best, 1 + longest(new, h))
+        return best
+
+    return grow, longest
+
+
+@pytest.mark.parametrize("kind", ["d", "eta", "s"])
+@pytest.mark.parametrize("factors", [[2, 2, 2], [2, 4], [3, 3], [2, 2, 4], [4, 4]], ids=str)
+def test_slack_bounds_every_extension(factors, kind):
+    """On random valid non-decreasing prefixes, the depth bound a state
+    gives ``dfs_run`` under orbit pruning is at least the longest valid
+    extension by terms no smaller than the last, found by exhaustive
+    search over sets."""
+    group = make_group(factors)
+    grow, longest = brute_extension(group, kind)
+    rng = random.Random(f"{factors}{kind}")
+    for _ in range(25):
+        state = search_state(group, kind)
+        prefix, sums = [], frozenset()
+        for _ in range(rng.randint(1, 8)):
+            options = [(h, new) for h in range(prefix[-1] if prefix else 0, group.order)
+                       if (new := grow(sums, h)) is not None]
+            if not options:
+                break
+            h, sums = rng.choice(options)
+            assert state.try_push(h)
+            prefix.append(h)
+        last = prefix[-1]
+        assert state.slack(last, prefix.count(last)) >= longest(sums, last), prefix

@@ -25,7 +25,7 @@ class PermissiveState:
     def pop(self, g):
         self.path.pop()
 
-    def slack(self):
+    def slack(self, last=None, run=0):
         return None
 
 
