@@ -121,9 +121,32 @@ def _emit_csv(payload: dict, out) -> None:
         writer.writerow(row)
 
 
-def _load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_checkpoint(filename, job, order):
+    """The search stored in a checkpoint of ``job``, refused unless
+    ``dfs_run`` can replay it on a group of order ``order``."""
+    with open(filename, "r", encoding="utf-8") as fh:
+        try:
+            stored = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"checkpoint is not JSON: {exc}") from None
+    if not (isinstance(stored, dict) and isinstance(stored.get("job"), dict)
+            and isinstance(stored.get("search"), dict)):
+        raise InvalidInputError("checkpoint is not an object with job and search objects")
+    differ = sorted(key for key in job if stored["job"].get(key) != job[key])
+    if differ:
+        raise InvalidInputError(
+            f"checkpoint belongs to a different job (differs in {', '.join(differ)})")
+    search = stored["search"]
+    missing = [key for key in ("path", "cursors", "best", "witness", "nodes", "slack_prunes")
+               if key not in search]
+    if missing:
+        raise InvalidInputError(f"checkpoint search lacks {', '.join(missing)}")
+    path, cursors = search["path"], search["cursors"]
+    if not (isinstance(path, list) and all(type(g) is int and 0 <= g < order for g in path)
+            and isinstance(cursors, list) and len(cursors) == len(path) + 1
+            and all(type(c) is int and 0 <= c <= order for c in cursors)):
+        raise InvalidInputError(f"checkpoint path or cursors do not fit a group of order {order}")
+    return search
 
 
 def _store_checkpoint(path, payload):
@@ -179,13 +202,7 @@ def _cmd_constant(args) -> int:
     if args.resume:
         if not args.checkpoint:
             raise InvalidInputError("--resume needs --checkpoint")
-        stored = _load_checkpoint(args.checkpoint)
-        stored_job = stored.get("job", {})
-        differ = sorted(key for key in job if stored_job.get(key) != job[key])
-        if differ:
-            raise InvalidInputError(
-                f"checkpoint belongs to a different job (differs in {', '.join(differ)})")
-        resume = stored["search"]
+        resume = _load_checkpoint(args.checkpoint, job, group.order)
     if args.threads > 1:
         if args.checkpoint or args.resume:
             raise InvalidInputError("checkpointing is single-threaded; drop --threads")

@@ -17,7 +17,7 @@ disjoint zero-sum subsequences cannot be forced over C_2 + C_2m + C_2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .engine import reach_table
@@ -185,8 +185,7 @@ def eta_extremal_family(group: Group):
             for x in range(1, m + 1):
                 if gcd(x, m) != 1:
                     continue
-                p = RankTwoParams(group, base.b1, base.b2, s, n, x,
-                                  group.zero(), m, n, base.d, base.ell)
+                p = replace(base, s=s, t=n, x=x, c=group.zero())
                 if not _eta_side_condition(p):
                     continue
                 seq = build_eta_extremal(p)
@@ -198,7 +197,6 @@ def s_extremal_family(group: Group):
     """Every multiset the s parameterization produces, deduplicated."""
     m, n = rank_two_split(group)
     out = {}
-    zero = group.zero()
     for base in _generating_pairs(group):
         for s in range(1, n + 1):
             for t in range(1, n + 1):
@@ -206,8 +204,7 @@ def s_extremal_family(group: Group):
                     if gcd(x, m) != 1:
                         continue
                     for c in group.elements():
-                        p = RankTwoParams(group, base.b1, base.b2, s, t, x,
-                                          c, m, n, base.d, base.ell)
+                        p = replace(base, s=s, t=t, x=x, c=c)
                         if not _s_side_condition(p):
                             continue
                         seq = build_s_extremal(p, warn_unknown_property_d=False)

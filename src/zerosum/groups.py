@@ -191,7 +191,6 @@ class Group:
         self._mask_shifts = {}
         self._neg_table = None
         self._automorphisms = None
-        self._canonical_first_two = None    # filled by search.canonical_first_two
         self._stabiliser_chain = None       # filled by search.stabiliser_chain
         self._subgroups = None              # filled by enumerate_subgroups
 

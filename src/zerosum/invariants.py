@@ -161,8 +161,9 @@ class _DkState:
     The count can only grow by one per appended element, and only when the
     new element closes some zero-sum, i.e. -g is already a subsum; the
     running subsum bitmask ``sums`` gates the lift test.  Each prefix also
-    carries a family of ``count`` disjoint zero-sum parts dividing it, and
-    ``free``, the subsum bitmask of the terms outside that family.  When g
+    carries a family of disjoint zero-sum parts dividing it, whose size is
+    the count, and ``free``, the subsum bitmask of the terms outside that
+    family.  When g
     is 0 or -g is in ``free``, the family plus a zero-sum through g from
     the free terms gives count+1 parts, so the count lifts with no search;
     only otherwise does the exact ``lifts_disjoint_count`` run, with a memo
@@ -170,24 +171,22 @@ class _DkState:
     exact, so the search tree does not depend on which family is carried.
     """
 
-    __slots__ = ("group", "k", "mult", "neg", "counts", "sums", "families",
-                 "frees", "memo")
+    __slots__ = ("group", "k", "mult", "neg", "sums", "families", "frees", "memo")
 
     def __init__(self, group: Group, k: int):
         self.group = group
         self.k = k
         self.mult = [0] * group.order
         self.neg = group.neg_table()
-        self.counts = [0]
         self.sums = [0]
         self.families = [()]
         self.frees = [0]
         self.memo = {}
 
     def try_push(self, g: int) -> bool:
-        count = self.counts[-1]
         sums = self.sums[-1]
         family = self.families[-1]
+        count = len(family)
         free = self.frees[-1]
         translate = self.group.translate_mask
         neg = self.neg[g]
@@ -204,7 +203,6 @@ class _DkState:
             if count + 1 >= self.k:
                 self.mult[g] -= 1
                 return False
-            count += 1
             if found is None:
                 family, free = self._extend(family, g)
             else:
@@ -212,7 +210,6 @@ class _DkState:
                 free = self._free_mask(self._free_terms(family))
         else:
             free |= translate(free, g) | (1 << g)
-        self.counts.append(count)
         self.sums.append(sums | translate(sums, g) | (1 << g))
         self.families.append(family)
         self.frees.append(free)
@@ -256,7 +253,6 @@ class _DkState:
 
     def pop(self, g: int):
         self.mult[g] -= 1
-        self.counts.pop()
         self.sums.pop()
         self.families.pop()
         self.frees.pop()

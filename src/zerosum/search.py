@@ -51,58 +51,6 @@ class DfsOutcome:
     checkpoint: dict | None = None
 
 
-def _orbit_minima(points, images):
-    """Smallest member of each orbit met while sweeping ``points`` upward.
-
-    ``images(x)`` yields the images of x under a generating set; the orbit
-    of the first point not yet reached is closed by search, so that point
-    is its smallest member.
-    """
-    reached = set()
-    minima = []
-    for x in points:
-        if x in reached:
-            continue
-        minima.append(x)
-        reached.add(x)
-        stack = [x]
-        while stack:
-            for y in images(stack.pop()):
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-    return minima
-
-
-def canonical_first_two(group: Group):
-    """Seeds and pairs that are lexicographic minima of their Aut(G)-orbits.
-
-    Restricting the two smallest elements of a multiset to canonical
-    representatives under Aut(G) preserves the canonical form of every
-    multiset, hence preserves maxima and existence questions but not
-    counts; ``dfs_run`` applies it in maximize mode only.
-    Orbits are closed under ``Group.automorphism_generators``; a finite
-    group is generated as a monoid by any generating set, so these are the
-    Aut(G)-orbits.  Unordered pairs a <= b are coded as a*n + b, which
-    orders them lexicographically.  The result is cached on the group.
-    """
-    if group._canonical_first_two is None:
-        gens = group.automorphism_generators()
-        n = group.order
-
-        def pair_images(code):
-            a, b = divmod(code, n)
-            for p in gens:
-                x, y = p[a], p[b]
-                yield x * n + y if x <= y else y * n + x
-
-        seeds = set(_orbit_minima(range(n), lambda a: [p[a] for p in gens]))
-        codes = (a * n + b for a in range(n) for b in range(a, n))
-        pairs = {divmod(code, n) for code in _orbit_minima(codes, pair_images)}
-        group._canonical_first_two = (seeds, pairs)
-    return group._canonical_first_two
-
-
 # ---------------------------------------------------------------------------
 # Pointwise stabilisers in Aut(G)
 
@@ -150,12 +98,14 @@ class _Stabiliser:
     ``levels[i]`` holds the strong generators that fix ``base[:i]``, as
     (s, s^-1) pairs, and the transversal of the orbit of ``base[i]`` under
     them (see ``_close_orbit``); ``order`` is the product of the orbit
-    sizes.  Once complete, a node also holds ``mask``, with bit x set when
-    x is the least point of its orbit, ``fixed``, with bit x set when x is
-    fixed, and ``children``, the stabilisers of single points built so far.
+    sizes.  Once sealed, a node also holds ``rep``, with ``rep[x]`` the
+    least point of the orbit of x, ``mask``, with bit x set when
+    ``rep[x] == x``, and ``children``, the stabilisers of single points
+    built so far (the node itself for a fixed point).  The chain's root
+    also caches ``first_two`` (see ``canonical_first_two``).
     """
 
-    __slots__ = ("n", "base", "levels", "order", "mask", "fixed", "children", "_reps")
+    __slots__ = ("n", "base", "levels", "order", "rep", "mask", "children", "first_two", "_reps")
 
     def __init__(self, n, base=(), levels=()):
         self.n = n
@@ -165,6 +115,7 @@ class _Stabiliser:
         for _, trans in self.levels:
             self.order *= len(trans)
         self.children = {}
+        self.first_two = None
         self._reps = None
 
     def absorb(self, g):
@@ -208,11 +159,21 @@ class _Stabiliser:
         return self.seal()
 
     def seal(self):
-        """Fill in ``mask`` and ``fixed`` from the strong generators."""
+        """Fill in ``rep`` and ``mask`` in one sweep over the points: the
+        first point not yet reached is the least of its orbit."""
         gens = [s for s, _ in self.levels[0][0]] if self.levels else []
-        n = self.n
-        self.mask = sum(1 << x for x in _orbit_minima(range(n), lambda x: [s[x] for s in gens]))
-        self.fixed = sum(1 << x for x in range(n) if all(s[x] == x for s in gens))
+        rep = [-1] * self.n
+        for x in range(self.n):
+            if rep[x] < 0:
+                rep[x] = x
+                orbit = [x]
+                for y in orbit:
+                    for z in (s[y] for s in gens):
+                        if rep[z] < 0:
+                            rep[z] = x
+                            orbit.append(z)
+        self.rep = bytes(rep)
+        self.mask = sum(1 << x for x in set(rep))
         return self
 
     def random_element(self, rng):
@@ -227,11 +188,10 @@ class _Stabiliser:
 
     def child(self, b):
         """The stabiliser of b in this group, built on first use."""
-        if (self.fixed >> b) & 1:
-            return self
         node = self.children.get(b)
         if node is None:
-            node = self.children[b] = self._point_stabiliser(b)
+            fixed = self.rep.count(b) == 1      # b is alone in its orbit
+            node = self.children[b] = self if fixed else self._point_stabiliser(b)
         return node
 
     def _point_stabiliser(self, b):
@@ -286,6 +246,36 @@ def stabiliser_chain(group: Group) -> _Stabiliser:
     return group._stabiliser_chain
 
 
+def canonical_first_two(group: Group):
+    """Seeds and pairs that are lexicographic minima of their Aut(G)-orbits.
+
+    Restricting the two smallest elements of a multiset to these keeps
+    maxima and existence questions but not counts, so ``dfs_run`` applies
+    it in maximize mode only.  The seeds are the orbit minima of the root
+    of ``stabiliser_chain``.  For a seed a, so psi(a) >= a for all psi in
+    Aut(G), a pair (a, b), b >= a, is least in its orbit when (1) never
+    psi(b) < a: ``root.rep[b] >= a``; (2) psi(b) >= b when psi fixes a: b
+    is least in its Stab(a)-orbit; (3) psi(a) >= b when psi(b) = a, which
+    needs b in the orbit of a.  Those psi are tau, with tau(b) = a from a
+    transversal of that orbit, followed by Stab(a), so (3) holds when the
+    Stab(a)-orbit minimum of tau(a) is at least b.  b = a passes all
+    three.  The result is cached on the root.
+    """
+    root = stabiliser_chain(group)
+    if root.first_two is None:
+        seeds = {a for a in range(root.n) if root.rep[a] == a}
+        pairs = set()
+        for a in seeds:
+            stab = root.child(a).rep
+            orbit = {a: _IDENTITY}
+            _close_orbit(root.levels[0][0] if root.levels else (), orbit)
+            pairs.update((a, b) for b in range(a, root.n)
+                         if stab[b] == b and root.rep[b] >= a
+                         and (b not in orbit or stab[orbit[b][a]] >= b))
+        root.first_two = (seeds, pairs)
+    return root.first_two
+
+
 def orbit_pruning_applies(group: Group) -> bool:
     """Whether ``dfs_run(..., orbit_pruning=True)`` prunes by Aut(G)-orbits
     on this group."""
@@ -308,7 +298,8 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     canonical ones of ``canonical_first_two``, and allows a new distinct
     element b_i at a later position only when b_i is the least point of
     its orbit under the pointwise stabiliser, in Aut(G), of the distinct
-    elements b_1 < ... < b_(i-1) before it; repeats pass.  This keeps
+    elements b_1 < ... < b_(i-1) before it; repeats pass.  Both rules read
+    the orbit minima of the nodes of ``stabiliser_chain``.  This keeps
     every value and witness.  The witness W is the lexicographically first
     valid tuple of maximum length, and validity is invariant under Aut(G).
     If psi fixed b_1 ... b_(i-1) and mapped b_i to c < b_i, the i smallest

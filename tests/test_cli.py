@@ -138,6 +138,25 @@ def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
     assert "version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda stored: "{",
+    lambda stored: "[1, 2]",
+    lambda stored: json.dumps({**stored, "search": {**stored["search"], "path": [999]}}),
+    lambda stored: json.dumps({**stored, "search": {
+        key: value for key, value in stored["search"].items() if key != "cursors"}}),
+], ids=["not-json", "not-an-object", "path-out-of-range", "no-cursors"])
+def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
+    # exit 1 would claim a falsified verification
+    ck = tmp_path / "ck.json"
+    args = ["constant", "--group", "2,2,4", "--kind", "eta", "--checkpoint", str(ck)]
+    code, _ = run_cli(args + ["--budget-nodes", "100"], capsys)
+    assert code == 2
+    ck.write_text(corrupt(json.loads(ck.read_text())))
+    code = main(args + ["--resume"])
+    assert code == 64
+    assert "checkpoint" in capsys.readouterr().err
+
+
 def test_resume_rejects_other_job(capsys, tmp_path):
     ck = tmp_path / "ck.json"
     code, _ = run_cli(["constant", "--group", "2,4,4", "--kind", "d",

@@ -321,9 +321,9 @@ def test_pinned_search_trees(factors, kind, k, orbit, value, witness, nodes):
 
 
 def _check_carried_family(state, prefix):
-    """The top of a _DkState stack: ``count`` disjoint zero-sum parts that
-    divide the prefix, and the subsum masks of the prefix and of the terms
-    outside the family, recomputed with sets."""
+    """The top of a _DkState stack: disjoint zero-sum parts that divide
+    the prefix, and the subsum masks of the prefix and of the terms
+    outside the family, recomputed with sets; returns the count."""
     group = state.group
 
     def subsum_mask(terms):
@@ -332,8 +332,7 @@ def _check_carried_family(state, prefix):
             sums |= {group.add_index(s, t) for s in sums} | {t}
         return sum(1 << e for e in sums)
 
-    count, family = state.counts[-1], state.families[-1]
-    assert len(family) == count
+    family = state.families[-1]
     free = list(prefix)
     for part in family:
         assert part and Sequence.from_indices(group, part).sum().index == 0
@@ -341,7 +340,7 @@ def _check_carried_family(state, prefix):
             free.remove(i)
     assert state.frees[-1] == subsum_mask(free)
     assert state.sums[-1] == subsum_mask(prefix)
-    return count
+    return len(family)
 
 
 def test_dk_state_carries_a_maximum_disjoint_family(small_groups):
@@ -359,7 +358,7 @@ def test_dk_state_carries_a_maximum_disjoint_family(small_groups):
             grown = Sequence.from_indices(group, prefix + [g])
             if not state.try_push(g):
                 assert brute_max_disjoint(grown) >= k
-                assert len(state.counts) == len(prefix) + 1
+                assert len(state.families) == len(prefix) + 1
                 continue
             prefix.append(g)
             assert _check_carried_family(state, prefix) == brute_max_disjoint(grown) < k

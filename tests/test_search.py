@@ -1,6 +1,7 @@
 """Orbit pruning: the canonical first two positions and the chain of
 pointwise stabilisers against the brute-force list of automorphisms, and
-hand-derived orbits above its cap.  The packed subsum tables of the search
+above its cap against an orbit sweep under the generators and
+hand-derived orbits.  The packed subsum tables of the search
 states against brute-force subsums, and their depth bounds against
 exhaustive extension."""
 
@@ -45,6 +46,43 @@ def brute_first_two(group):
     return seeds, pairs
 
 
+def swept_first_two(group):
+    """Least members of the element and unordered-pair orbits, found by
+    sweeping all |G|(|G|+1)/2 pairs upward and closing the orbit of each
+    pair not yet reached under ``Group.automorphism_generators``; a pair
+    a <= b is coded a*n + b, which orders pairs lexicographically.  The
+    reference above the brute-force cap."""
+    gens = group.automorphism_generators()
+    n = group.order
+
+    def minima(points, images):
+        reached = set()
+        out = []
+        for x in points:
+            if x in reached:
+                continue
+            out.append(x)
+            reached.add(x)
+            stack = [x]
+            while stack:
+                for y in images(stack.pop()):
+                    if y not in reached:
+                        reached.add(y)
+                        stack.append(y)
+        return out
+
+    def pair_images(code):
+        a, b = divmod(code, n)
+        for p in gens:
+            x, y = p[a], p[b]
+            yield x * n + y if x <= y else y * n + x
+
+    seeds = set(minima(range(n), lambda a: [p[a] for p in gens]))
+    codes = (a * n + b for a in range(n) for b in range(a, n))
+    pairs = {divmod(code, n) for code in minima(codes, pair_images)}
+    return seeds, pairs
+
+
 @pytest.mark.parametrize("factors", BRUTE_FORCE_GROUPS, ids=str)
 def test_canonical_first_two_matches_brute_force(factors):
     group = make_group(factors)
@@ -58,6 +96,15 @@ def test_canonical_first_two_matches_brute_force(factors):
                 assert perm[group.add_index(a, b)] == group.add_index(perm[a], perm[b])
         assert perm in automorphisms
     assert canonical_first_two(group) == brute_first_two(group)
+
+
+@pytest.mark.parametrize("factors", [
+    [2, 4, 8], [2, 6, 6], [4, 4, 4], [2, 8, 8], [2] * 6,
+    [4, 4, 4, 4], [2, 4, 4, 8], [2] * 8, [2, 8, 16], [2, 2, 8, 8], [16, 16],
+], ids=str)
+def test_canonical_first_two_matches_orbit_sweep(factors):
+    group = make_group(factors)
+    assert canonical_first_two(group) == swept_first_two(group)
 
 
 @pytest.mark.parametrize("rank", [6, 8])
@@ -95,6 +142,7 @@ def test_stabiliser_chain_matches_brute_force(factors):
         node = root
         for i in range(len(prefix) + 1):
             stab = [p for p in perms if all(p[x] == x for x in prefix[:i])]
+            assert node.rep == bytes(min(p[x] for p in stab) for x in range(n))
             assert node.mask == sum(1 << x for x in range(n)
                                     if all(p[x] >= x for p in stab))
             assert node.order == len(stab)
