@@ -55,8 +55,10 @@ SCHEMA_VERSION = 1
 # pruning cap from order 64 to 256, so unversioned checkpoints are refused;
 # version 3 prunes every later position of a maximise search by the
 # pointwise stabiliser of the prefix; version 4 adds the multiplicity bound
-# on depth, and the checkpoint carries the slack prune count.
-CHECKPOINT_VERSION = 4
+# on depth, and the checkpoint carries the slack prune count; version 5
+# adds the lex-least prefix gates and run caps (rebuilt on resume by
+# replaying the path).
+CHECKPOINT_VERSION = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -398,6 +400,7 @@ _REPORT_ENTRIES_LONG = [
     ([2, 2, 4], KIND_DK, 3),
     ([2, 4, 4], KIND_S, None), ([2, 2, 8], KIND_S, None),
     ([2, 4, 8], KIND_ETA, None),
+    ([2, 4, 4], KIND_DK, 2), ([2, 6, 6], KIND_ETA, None),
 ]
 
 

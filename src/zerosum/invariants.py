@@ -297,13 +297,15 @@ def compute(group: Group, kind: str, k: int | None = None,
 
     The s property is translation invariant, so its search pins 0 as the
     smallest element; every extremal translation class has such a
-    representative.  ``restrict_prefix`` pins the positions after that
-    anchor.  The witness is re-verified against the property.
+    representative, and orbit pruning may use the translations.
+    ``restrict_prefix`` pins the positions after that anchor.  The
+    witness is re-verified against the property.
     """
     anchor = [0] if kind == KIND_S else []
     out = dfs_run(group, search_state(group, kind, k), budget=budget,
                   orbit_pruning=orbit_pruning, resume=resume,
-                  restrict_prefix=anchor + list(restrict_prefix or ()))
+                  restrict_prefix=anchor + list(restrict_prefix or ()),
+                  translations=bool(anchor))
     witness = Sequence.from_indices(group, out.witness) if out.witness is not None else None
     if witness is not None and (len(witness) != out.best or has_property(witness, kind, k)):
         raise InvalidInputError(

@@ -4,7 +4,8 @@ Sequences are explored as non-decreasing index tuples (one representative
 per multiset).  A search state object owns the incremental pruning data
 and its depth bound; ``dfs_run`` owns candidate order, optional
 automorphism-orbit pruning of maximise searches (the first two positions,
-and every later position through a chain of pointwise stabilisers), the
+and every later position through a chain of pointwise stabilisers, with
+the gates and run caps of lex-least prefixes), the
 cut of subtrees that the depth bound shows cannot beat the best, node/time
 budgets, and resumable checkpoints (the serialized cursor stack).
 """
@@ -12,6 +13,7 @@ budgets, and resumable checkpoints (the serialized cursor stack).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -101,11 +103,13 @@ class _Stabiliser:
     sizes.  Once sealed, a node also holds ``rep``, with ``rep[x]`` the
     least point of the orbit of x, ``mask``, with bit x set when
     ``rep[x] == x``, and ``children``, the stabilisers of single points
-    built so far (the node itself for a fixed point).  The chain's root
-    also caches ``first_two`` (see ``canonical_first_two``).
+    built so far (the node itself for a fixed point), and caches the
+    masks of ``at_least``.  The chain's root also caches ``first_two``
+    (see ``canonical_first_two``).
     """
 
-    __slots__ = ("n", "base", "levels", "order", "rep", "mask", "children", "first_two", "_reps")
+    __slots__ = ("n", "base", "levels", "order", "rep", "mask", "children", "first_two",
+                 "_reps", "_at_least")
 
     def __init__(self, n, base=(), levels=()):
         self.n = n
@@ -117,6 +121,7 @@ class _Stabiliser:
         self.children = {}
         self.first_two = None
         self._reps = None
+        self._at_least = {}
 
     def absorb(self, g):
         """Sift g down the chain and add what is left of it, unless the
@@ -175,6 +180,13 @@ class _Stabiliser:
         self.rep = bytes(rep)
         self.mask = sum(1 << x for x in set(rep))
         return self
+
+    def at_least(self, p):
+        """Bitmask of the x whose orbit holds no point below p, cached."""
+        mask = self._at_least.get(p)
+        if mask is None:
+            mask = self._at_least[p] = sum(1 << x for x, r in enumerate(self.rep) if r >= p)
+        return mask
 
     def random_element(self, rng):
         """A uniformly random member: one inverse transversal element per
@@ -284,7 +296,7 @@ def orbit_pruning_applies(group: Group) -> bool:
 
 def dfs_run(group: Group, state, *, target_length=None, emit=None,
             budget: Budget | None = None, orbit_pruning=False, resume=None,
-            restrict_prefix=None) -> DfsOutcome:
+            restrict_prefix=None, translations=False) -> DfsOutcome:
     """Run the DFS to completion, exhaustion, or budget.
 
     Maximize mode (``target_length is None``) tracks the deepest node and
@@ -295,22 +307,32 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 
     Orbit pruning (``orbit_pruning``, for 1 < |G| <= 256) is for maximize
     mode only.  It keeps the first element and the first pair among the
-    canonical ones of ``canonical_first_two``, and allows a new distinct
-    element b_i at a later position only when b_i is the least point of
-    its orbit under the pointwise stabiliser, in Aut(G), of the distinct
-    elements b_1 < ... < b_(i-1) before it; repeats pass.  Both rules read
-    the orbit minima of the nodes of ``stabiliser_chain``.  This keeps
+    canonical ones of ``canonical_first_two``.  Past them the path is a
+    sequence of runs, m_j copies of p_1 < p_2 < ..., and H_j is the
+    pointwise stabiliser, in Aut(G), of p_1 ... p_(j-1).  A new distinct
+    element b must (1) be the least point of its orbit under the
+    stabiliser of every element before it, and (2) pass the gate of every
+    run: ``H_j.at_least(p_j)``, no point below p_j in the H_j-orbit of b.
+    A repeat of p_j passes while m_j is below (3) its cap, the least m_i
+    over the earlier runs i with p_j in the H_i-orbit of p_i.  With
+    ``translations`` (the state's property is also invariant under
+    x -> x - w, and the search pins 0 first) the cap is also at most the
+    number of copies of 0.  The rules read the orbit minima of the nodes
+    of ``stabiliser_chain`` and cost O(runs) per opened run.  They keep
     every value and witness.  The witness W is the lexicographically first
-    valid tuple of maximum length, and validity is invariant under Aut(G).
-    If psi fixed b_1 ... b_(i-1) and mapped b_i to c < b_i, the i smallest
-    terms of psi(W) would be bounded term by term by the sorted prefix
-    with c in place of b_i, so sorted psi(W) would be a valid tuple of the
-    same length lexicographically before W.  So every prefix of W passes
-    the test (and, for the same reason, the first-two rule).  The argument
-    needs a maximum, not a count: both rules drop tuples an enumeration
-    must emit, so enumerate mode refuses ``orbit_pruning``.  Pinned
-    positions bypass both rules; with the witness's own prefix pinned, W
-    still passes every later test.
+    valid tuple of maximum length, and validity is invariant under Aut(G)
+    (and, with ``translations``, under translation).  Were a prefix of W
+    cut, the rule that cut it names a map that sends W to a valid tuple
+    of the same length whose sorted terms come lexicographically first:
+    for (1) and (2), a psi in H_j, which keeps the runs of p_1 ...
+    p_(j-1) and maps b below p_j; for (3), a psi in H_i with psi(p_j) =
+    p_i, which keeps the runs before p_i and gives p_i more than m_i
+    copies, or x -> x - p_j, which gives 0 more copies than W has.  So no
+    prefix of W is cut (nor by the first-two rule, for the same reason).  The argument needs a maximum,
+    not a count: the rules drop tuples an enumeration must emit, so
+    enumerate mode refuses ``orbit_pruning``.  Pinned positions bypass the
+    rules (their runs still open gates and caps); with the witness's own
+    prefix pinned, W still passes every later test.
 
     In maximize mode a push is cut, with its subtree, when
     ``len(path) + state.slack(last, run) <= best``: the state bounds how
@@ -348,6 +370,11 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     full = (1 << n) - 1
     # chain[d]: pointwise stabiliser of the distinct elements of path[:d]
     chain = [stabiliser_chain(group)] if prune else None
+    # runs[j]: [p_j, m_j, H_j, cap_j, gate_j] for the j-th run of equal
+    # elements on the path: its element and copies so far, chain[-1] when
+    # it opened, the most copies the caps allow, and the AND of every
+    # H_i.at_least(p_i), i <= j
+    runs = []
 
     def allowed(depth):
         """Bitmask of the elements allowed at this depth, before the
@@ -361,13 +388,23 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         if depth == 1:
             a = path[0]
             return sum(1 << b for b in range(a, n) if (a, b) in pairs)
-        return chain[-1].mask | (1 << path[-1])
+        last, run, _, cap, gate = runs[-1]
+        bit = 1 << last
+        return (chain[-1].mask & gate & ~bit) | (bit if run < cap else 0)
 
     def descend(g):
         """Open the frame below the element g just pushed onto the path."""
         cursors.append(g)
         if prune:
-            chain.append(chain[-1].child(g))
+            node = chain[-1]
+            if runs and runs[-1][0] == g:
+                runs[-1][1] += 1
+            else:
+                cap = min((m for p, m, h, _, _ in runs if h.rep[g] == p), default=math.inf)
+                if translations and runs:
+                    cap = min(cap, runs[0][1])
+                runs.append([g, 1, node, cap, node.at_least(g) & (runs[-1][4] if runs else full)])
+            chain.append(node.child(g))
         masks.append(allowed(len(path)))
 
     cursors = [0]
@@ -398,6 +435,10 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             masks.pop()
             if prune:
                 chain.pop()
+                if path:
+                    runs[-1][1] -= 1
+                    if not runs[-1][1]:
+                        runs.pop()
             if path:
                 state.pop(path.pop())
             continue

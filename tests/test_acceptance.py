@@ -45,7 +45,7 @@ from zerosum.extremal import (
     rank_two_split,
 )
 
-from conftest import brute_subsums
+from conftest import brute_max_disjoint, brute_subsums
 
 LONG_PROFILE = os.environ.get("ZEROSUM_LONG") == "1"
 
@@ -142,23 +142,29 @@ def test_criterion_1_formula_reproduction_by_search():
 
 # the paper's next instances that the search completes: report --long
 # runs them too
-HARD_SEARCHES = [([2, 4, 4], "s", 17), ([2, 2, 8], "s", 19), ([2, 4, 8], "eta", 16)]
+HARD_SEARCHES = [([2, 4, 4], "s", None, 17), ([2, 2, 8], "s", None, 19),
+                 ([2, 4, 8], "eta", None, 16), ([2, 4, 4], "dk", 2, 13),
+                 ([2, 6, 6], "eta", None, 20)]
 
 
 def _check_hard_searches():
     """Each hard search against the formula at zero tolerance, and its
-    witness re-checked by brute-force subsums: no zero-sum of length
-    exp(G) for s, none of length 1..exp(G) for eta."""
-    for factors, kind, expect in HARD_SEARCHES:
-        _check_block([(factors, None, expect)], kind)
-        witness = searched(factors, kind).witness
+    witness re-checked by brute force: by its subsums, no zero-sum of
+    length exp(G) for s and none of length 1..exp(G) for eta; by
+    recursion over its minimal zero-sums, fewer than k disjoint ones for
+    dk."""
+    for factors, kind, k, expect in HARD_SEARCHES:
+        _check_block([(factors, k, expect)], kind)
+        witness = searched(factors, kind, k).witness
         exp = witness.group.exponent
         zero_lengths = brute_subsums(witness)[0]
         assert len(witness) == expect - 1
         if kind == "s":
             assert exp not in zero_lengths, (factors, kind)
-        else:
+        elif kind == "eta":
             assert not zero_lengths & set(range(1, exp + 1)), (factors, kind)
+        else:
+            assert brute_max_disjoint(witness, cap=k) < k, (factors, kind, k)
 
 
 def _s_family_c0(group):

@@ -85,11 +85,11 @@ def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
     full = json.loads(out)["result"]
 
     ck = tmp_path / "ck.json"
-    code, out = run_cli(args + ["--budget-nodes", "100", "--checkpoint", str(ck)],
+    code, out = run_cli(args + ["--budget-nodes", "30", "--checkpoint", str(ck)],
                         capsys)
     rounds = 0
     while code == 2:
-        code, out = run_cli(args + ["--budget-nodes", "100", "--checkpoint", str(ck),
+        code, out = run_cli(args + ["--budget-nodes", "30", "--checkpoint", str(ck),
                                     "--resume"], capsys)
         rounds += 1
         assert rounds < 40
@@ -108,11 +108,11 @@ def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path)
     full = json.loads(out)["result"]
 
     ck = tmp_path / "ck.json"
-    code, out = run_cli(args + ["--budget-nodes", "1000", "--checkpoint", str(ck)],
+    code, out = run_cli(args + ["--budget-nodes", "400", "--checkpoint", str(ck)],
                         capsys)
     rounds = 0
     while code == 2:
-        code, out = run_cli(args + ["--budget-nodes", "1000", "--checkpoint", str(ck),
+        code, out = run_cli(args + ["--budget-nodes", "400", "--checkpoint", str(ck),
                                     "--resume"], capsys)
         rounds += 1
         assert rounds < 40
@@ -129,8 +129,8 @@ def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
                        "--budget-nodes", "2000", "--checkpoint", str(ck)], capsys)
     assert code == 2
     stored = json.loads(ck.read_text())
-    assert stored["job"]["version"] == 4
-    stored["job"]["version"] = 3
+    assert stored["job"]["version"] == 5
+    stored["job"]["version"] = 4
     ck.write_text(json.dumps(stored))
     code = main(["constant", "--group", "2,2,6", "--kind", "eta",
                  "--checkpoint", str(ck), "--resume"])

@@ -5,7 +5,9 @@ hand-derived orbits.  The packed subsum tables of the search
 states against brute-force subsums, and their depth bounds against
 exhaustive extension."""
 
+import collections
 import functools
+import itertools
 import random
 
 import pytest
@@ -176,17 +178,19 @@ def test_elementary_abelian_stabilisers_above_old_cap(rank):
             assert node.mask == sum(1 << x for x in span | {outside} - {None})
 
 
-class _RefuseSecond:
-    """Records every tuple offered and refuses every push at depth 1, so
-    a maximise search tries each allowed first element and pair once."""
+class _RefuseLonger:
+    """Records every tuple offered and refuses exactly the pushes past
+    ``limit`` terms; no depth bound.  With limit 1 a maximise search tries
+    each allowed first element and pair once."""
 
-    def __init__(self):
+    def __init__(self, limit):
+        self.limit = limit
         self.path = []
         self.tried = []
 
     def try_push(self, g):
         self.tried.append(tuple(self.path) + (g,))
-        if self.path:
+        if len(self.path) >= self.limit:
             return False
         self.path.append(g)
         return True
@@ -202,14 +206,14 @@ def test_dfs_run_prunes_orbits_at_order_128():
     group = make_group([2, 8, 8])
     seeds, pairs = canonical_first_two(group)
     assert len(seeds) < group.order
-    state = _RefuseSecond()
+    state = _RefuseLonger(1)
     out = dfs_run(group, state, budget=Budget(max_nodes=1000), orbit_pruning=True)
     assert out.status == "complete"
     assert {t[0] for t in state.tried if len(t) == 1} == seeds
     assert {t for t in state.tried if len(t) == 2} == pairs
     # without pruning the 128 first elements and 8,256 pairs exceed the
     # same budget
-    out = dfs_run(group, _RefuseSecond(), budget=Budget(max_nodes=1000),
+    out = dfs_run(group, _RefuseLonger(1), budget=Budget(max_nodes=1000),
                   orbit_pruning=False)
     assert out.status == "partial"
 
@@ -307,3 +311,99 @@ def test_slack_bounds_every_extension(factors, kind):
             prefix.append(h)
         last = prefix[-1]
         assert state.slack(last, prefix.count(last)) >= longest(sums, last), prefix
+
+
+def brute_orbit_minima(group, length, anchored):
+    """The least member of the orbit of every sorted tuple of ``length``
+    elements under every automorphism; ``anchored`` tuples start with 0,
+    and their maps are x -> psi(x - w) for w in the tuple.  Tuples come in
+    lexicographic order, so the first one met of each orbit is its least."""
+    perms = brute_automorphisms(group.invariant_factors)
+    neg = [next(y for y in range(group.order) if group.add_index(x, y) == 0)
+           for x in range(group.order)]
+    tails = itertools.combinations_with_replacement(range(group.order),
+                                                    length - anchored)
+    least = {}
+    for tail in tails:
+        t = (0,) * anchored + tail
+        if t in least:
+            continue
+        shifts = set(t) if anchored else {0}
+        for w in shifts:
+            moved = [group.add_index(x, neg[w]) for x in t]
+            for p in perms:
+                least.setdefault(tuple(sorted(p[x] for x in moved)), t)
+    return least
+
+
+def brute_identity_branch(group, anchored):
+    """Whether the identity branch of a minimal-image search rejects a
+    sorted tuple with runs (p_1, m_1), (p_2, m_2), ...: some automorphism
+    that fixes p_1 ... p_(j-1) maps a later p_l below p_j, or onto p_j with
+    m_l > m_j; anchored (0 first, translations allowed), some element has
+    more copies than 0.  Stabilisers are filtered from every automorphism."""
+    perms = brute_automorphisms(group.invariant_factors)
+
+    @functools.lru_cache(maxsize=None)
+    def stabiliser(fixed):
+        if not fixed:
+            return perms
+        return [p for p in stabiliser(fixed[:-1]) if p[fixed[-1]] == fixed[-1]]
+
+    @functools.lru_cache(maxsize=None)
+    def orbit_min(fixed):
+        return [min(p[x] for p in stabiliser(fixed)) for x in range(group.order)]
+
+    def rejects(t):
+        runs = sorted(collections.Counter(t).items())
+        if anchored and any(m > runs[0][1] for _, m in runs):
+            return True
+        points = tuple(p for p, _ in runs)
+        for j, (p, m) in enumerate(runs):
+            least = orbit_min(points[:j])
+            if any(least[q] < p or (least[q] == p and mq > m) for q, mq in runs[j:]):
+                return True
+        return False
+
+    return rejects
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["aut", "affine"])
+@pytest.mark.parametrize("factors", BRUTE_FORCE_GROUPS, ids=str)
+def test_orbit_pruning_matches_lex_least_prefix_oracle(factors, anchored):
+    """With nothing refused below ``limit`` terms, orbit pruning pushes
+    exactly the prefixes whose first one and two terms are least in their
+    Aut(G)-orbit and whose longer prefixes the identity branch of a
+    minimal-image search keeps (for the anchored s search, 0 pinned first
+    and translations allowed).  Every child of a pushed prefix that it
+    skips has a lexicographically smaller sorted image under some
+    automorphism (anchored, some psi after a translation by -w, w in the
+    prefix), and it pushes every prefix that is the least of its orbit."""
+    group = make_group(factors)
+    n = group.order
+    limit = 6 if n <= 9 else 5 if n <= 16 else 4
+    state = _RefuseLonger(limit)
+    dfs_run(group, state, orbit_pruning=True, restrict_prefix=[0] if anchored else None,
+            translations=anchored)
+    pushed = {t for t in state.tried if len(t) <= limit}
+
+    minima = {}
+    for length in range(1, limit + 1):
+        minima.update(brute_orbit_minima(group, length, anchored))
+    first_two = {**brute_orbit_minima(group, 1, False), **brute_orbit_minima(group, 2, False)}
+    rejects = brute_identity_branch(group, anchored)
+    root = (0,) if anchored else ()
+    expected, frontier = {root} if anchored else set(), [root]
+    while frontier:
+        prefix = frontier.pop()
+        for g in range(prefix[-1] if prefix else 0, n):
+            child = prefix + (g,)
+            if len(child) > limit:
+                break
+            if first_two[child] == child if len(child) <= 2 else not rejects(child):
+                expected.add(child)
+                frontier.append(child)
+            elif child not in pushed:
+                assert minima[child] < child, child
+    assert pushed == expected
+    assert {t for t, least in minima.items() if least == t} <= pushed
