@@ -401,6 +401,7 @@ _REPORT_ENTRIES_LONG = [
     ([2, 4, 4], KIND_S, None), ([2, 2, 8], KIND_S, None),
     ([2, 4, 8], KIND_ETA, None),
     ([2, 4, 4], KIND_DK, 2), ([2, 6, 6], KIND_ETA, None),
+    ([2, 2, 8], KIND_DK, 2),
 ]
 
 

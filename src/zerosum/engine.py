@@ -26,6 +26,9 @@ from .sequences import Sequence
 MINIMAL_ENUM_MAX_LEN = 64
 # decisions the disjoint-count memo keeps; later ones are not stored
 DISJOINT_MEMO_MAX_ENTRIES = 1 << 22
+# bits |G|^(count+1) of the D_k part-sum reach table; a larger count
+# decides its lifts by lifts_disjoint_count
+DK_REACH_MAX_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------

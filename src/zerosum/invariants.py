@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import (
+    DK_REACH_MAX_BITS,
     _lex_smallest_walk,
     _slot,
     _suffix_tables,
@@ -158,20 +159,39 @@ class InvariantResult:
 class _DkState:
     """Prefixes with fewer than k disjoint zero-sum subsequences.
 
-    The count can only grow by one per appended element, and only when the
-    new element closes some zero-sum, i.e. -g is already a subsum; the
-    running subsum bitmask ``sums`` gates the lift test.  Each prefix also
-    carries a family of disjoint zero-sum parts dividing it, whose size is
-    the count, and ``free``, the subsum bitmask of the terms outside that
-    family.  When g
-    is 0 or -g is in ``free``, the family plus a zero-sum through g from
-    the free terms gives count+1 parts, so the count lifts with no search;
-    only otherwise does the exact ``lifts_disjoint_count`` run, with a memo
-    of its sub-decisions kept across the whole search.  Every decision is
-    exact, so the search tree does not depend on which family is carried.
+    The count c can only grow by one per appended element g, and only when
+    g closes some zero-sum, i.e. -g is already a subsum; the running subsum
+    bitmask ``sums`` gates the lift test.  Each prefix also carries a
+    family of c disjoint zero-sum parts dividing it, and ``free``, the
+    subsum bitmask of the terms outside that family.  When g is 0 or -g is
+    in ``free``, the family plus a zero-sum through g from the free terms
+    gives c+1 parts, so the count lifts with no search.
+
+    Otherwise one bit of a part-sum reach table decides.  ``tables[t]``
+    lives in G^(t+1): bit s_0 + s_1*|G| + ... + s_t*|G|^t is set when the
+    prefix holds disjoint P_0, P_1, ..., P_t with those sums, where
+    P_1 .. P_t are nonempty and were opened in the order the terms were
+    folded in.  A folded copy of h is left out, joins P_0 or an open part,
+    or opens P_(t+1); opening parts in order keeps c+1 tables where a flag
+    per part would need 2^c.  The prefix has exactly c disjoint zero-sums,
+    so every family of c+1 in the grown prefix uses a copy of g, which may
+    be taken to be the new one, and its part without that copy sums to -g.
+    So g lifts exactly when ``tables[c]`` holds (-g, 0, ..., 0), in
+    whatever order the terms were folded.
+
+    No table depends on the count, so one list serves every count c < k
+    with |G|^(c+1) <= ``DK_REACH_MAX_BITS`` and is never dropped.  The
+    ``reach`` stack holds it for the root; a push records only g, and the
+    folds pending below the last materialised tables are done at the first
+    decision that needs them.  ``lifts_disjoint_count`` collects the family
+    of a table-confirmed lift below k, and decides the lifts of a count
+    past the cap; a memo of its sub-decisions is kept across the whole
+    search.  Every decision is exact, so the search tree does not depend on
+    which family is carried.
     """
 
-    __slots__ = ("group", "k", "mult", "neg", "sums", "families", "frees", "memo")
+    __slots__ = ("group", "k", "mult", "neg", "sums", "families", "frees",
+                 "levels", "reach", "shifts", "memo")
 
     def __init__(self, group: Group, k: int):
         self.group = group
@@ -181,6 +201,13 @@ class _DkState:
         self.sums = [0]
         self.families = [()]
         self.frees = [0]
+        # tables[c] for every count c < k with |G|^(c+1) bits within the cap
+        levels = 0
+        while levels < k and group.order ** (levels + 1) <= DK_REACH_MAX_BITS:
+            levels += 1
+        self.levels = levels
+        self.reach = [[1] + [0] * (levels - 1)]
+        self.shifts = {}
         self.memo = {}
 
     def try_push(self, g: int) -> bool:
@@ -192,13 +219,18 @@ class _DkState:
         neg = self.neg[g]
         self.mult[g] += 1
         lifted = False
+        found = None
         if g == 0 or (free >> neg) & 1:
             lifted = True
-            found = None
         elif (sums >> neg) & 1:
-            found = [] if count + 1 < self.k else None
-            lifted = lifts_disjoint_count(self.group, self.mult, g, count + 1,
-                                          memo=self.memo, collect=found)
+            if count < self.levels:
+                lifted = (self._tables()[count] >> neg) & 1
+            if count >= self.levels or (lifted and count + 1 < self.k):
+                # past the cap this decides the lift; below k it collects
+                # the family of the lift
+                found = [] if count + 1 < self.k else None
+                lifted = lifts_disjoint_count(self.group, self.mult, g, count + 1,
+                                              memo=self.memo, collect=found)
         if lifted:
             if count + 1 >= self.k:
                 self.mult[g] -= 1
@@ -213,7 +245,59 @@ class _DkState:
         self.sums.append(sums | translate(sums, g) | (1 << g))
         self.families.append(family)
         self.frees.append(free)
+        # the child's tables are this prefix's folded with g, when needed
+        self.reach.append(g)
         return True
+
+    def _tables(self):
+        """The reach tables of the prefix: the pending folds below the
+        last materialised tables on the stack are done now."""
+        reach = self.reach
+        top = len(reach) - 1
+        i = top
+        while type(reach[i]) is int:
+            i -= 1
+        for j in range(i + 1, top + 1):
+            reach[j] = self._fold(reach[j - 1], reach[j])
+        return reach[top]
+
+    def _fold(self, tables, h):
+        """The reach tables after one more copy of h."""
+        shifts = self.shifts.get(h)
+        if shifts is None:
+            shifts = self._level_shifts(h)
+        step = h
+        opened = 0
+        out = []
+        for table, level in zip(tables, shifts):
+            # P_t is empty in tables[t-1], so opening it with h is a shift
+            grown = table | (opened << step)
+            for coordinate in level:
+                part = table
+                for lo, up, hi, down in coordinate:
+                    part = ((part & lo) << up) | ((part & hi) >> down)
+                grown |= part
+            out.append(grown)
+            opened = table
+            step *= self.group.order
+        return out
+
+    def _level_shifts(self, h):
+        """Per table t and coordinate i <= t, the masked shifts that add h
+        to s_i: ``Group.mask_shifts(h, |G|^i)`` with its masks repeated
+        over the higher coordinates of G^(t+1)."""
+        n = self.group.order
+        shifts = []
+        for t in range(self.levels):
+            full = (1 << n ** (t + 1)) - 1
+            level = []
+            for i in range(t + 1):
+                rep = full // ((1 << n ** (i + 1)) - 1)
+                level.append(tuple((lo * rep, up, hi * rep, down) for lo, up, hi, down
+                                   in self.group.mask_shifts(h, n ** i)))
+            shifts.append(tuple(c for c in level if c))
+        self.shifts[h] = shifts = tuple(shifts)
+        return shifts
 
     def _free_terms(self, family):
         work = list(self.mult)
@@ -256,6 +340,7 @@ class _DkState:
         self.sums.pop()
         self.families.pop()
         self.frees.pop()
+        self.reach.pop()
 
     def slack(self, last=None, run=0):
         return None

@@ -144,7 +144,7 @@ def test_criterion_1_formula_reproduction_by_search():
 # runs them too
 HARD_SEARCHES = [([2, 4, 4], "s", None, 17), ([2, 2, 8], "s", None, 19),
                  ([2, 4, 8], "eta", None, 16), ([2, 4, 4], "dk", 2, 13),
-                 ([2, 6, 6], "eta", None, 20)]
+                 ([2, 6, 6], "eta", None, 20), ([2, 2, 8], "dk", 2, 18)]
 
 
 def _check_hard_searches():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -400,3 +401,45 @@ def test_dk_search_carries_families_from_both_lift_paths(monkeypatch):
     out = dfs_run(group, Checked(group, 3), orbit_pruning=True)
     assert (out.best + 1, out.stats.nodes) == (18, 1802)
     assert collected
+
+
+def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
+    # with the cap at 16^5 bits every count up to 4 has a table on these
+    # groups; prefixes drawn from a few elements and extra zeros reach it
+    monkeypatch.setattr(invariants, "DK_REACH_MAX_BITS", 1 << 20)
+    groups = small_groups + [make_group([2, 2, 4]), make_group([4, 4])]
+    rng = random.Random(7)
+    brute = functools.lru_cache(maxsize=None)(
+        lambda group, terms, cap: brute_max_disjoint(Sequence.from_indices(group, terms), cap))
+    seen = set()
+    for _ in range(90):
+        group = rng.choice(groups)
+        palette = [0] + rng.sample(range(group.order), min(4, group.order))
+        state = invariants._DkState(group, 5)
+        prefix = []
+        for _ in range(rng.randint(1, 11)):
+            if prefix and rng.random() < 0.15:
+                state.pop(prefix.pop())
+            elif state.try_push(g := rng.choice(palette)):
+                prefix.append(g)
+        count = len(state.families[-1])
+        assert count < state.levels
+        assert brute(group, tuple(sorted(prefix)), count + 1) == count
+        table = state._tables()[count]
+        for g in range(group.order):
+            lifts = brute(group, tuple(sorted(prefix + [g])), count + 1) > count
+            assert (table >> state.neg[g]) & 1 == lifts, (group, prefix, g)
+        seen.add(count)
+    assert seen == {0, 1, 2, 3, 4}
+
+
+def test_dk_search_without_reach_tables_keeps_its_tree(monkeypatch):
+    group = make_group([2, 2, 4])
+    tabled = compute(group, "dk", k=3)
+    # below |G|, so lifts_disjoint_count decides every lift
+    monkeypatch.setattr(invariants, "DK_REACH_MAX_BITS", 1)
+    assert search_state(group, "dk", 3).levels == 0
+    plain = compute(group, "dk", k=3)
+    assert tabled.value == plain.value == 14
+    assert tabled.witness == plain.witness
+    assert tabled.stats.nodes == plain.stats.nodes == 70004
