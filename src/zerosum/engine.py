@@ -403,16 +403,15 @@ def max_disjoint_decomposition(seq: Sequence, goal: int) -> DisjointDecompositio
     return decomp
 
 
-def lifts_disjoint_count(group: Group, mult, g: int, need: int, memo=None,
-                         collect=None) -> bool:
+def lifts_disjoint_count(group: Group, mult, g: int, need: int, memo=None) -> bool:
     """Whether a multiset that just gained a copy of g reaches ``need``
     disjoint zero-sums, given the maximum without that copy is need-1.
 
     Any family of ``need`` disjoint parts must consume every copy of g
     including the new one, so forcing the first part through g is
-    exhaustive.  ``collect`` receives such a family on success.
+    exhaustive.
     """
-    return _find_disjoint(group, mult, need, collect=collect, must_use=g, memo=memo)
+    return _find_disjoint(group, mult, need, must_use=g, memo=memo)
 
 
 # ---------------------------------------------------------------------------

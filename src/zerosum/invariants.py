@@ -2,7 +2,7 @@
 
 Each constant is 1 + the maximum length of a sequence avoiding the
 defining property, found by DFS over non-decreasing multisets with an
-incremental pruning state.  Closed-form values for the covered families
+incremental pruning state.  Closed-form values for the covered groups
 (rank at most two, and rank three of the form C_2 + C_2m + C_2mn) are
 available through formula_oracle for cross-validation; every search
 result re-verifies its own witness through the engine.
@@ -14,9 +14,6 @@ from dataclasses import dataclass, field
 
 from .engine import (
     DK_REACH_MAX_BITS,
-    _lex_smallest_walk,
-    _slot,
-    _suffix_tables,
     has_nonempty_zero_sum,
     has_short_zero_sum,
     has_zero_sum_of_length,
@@ -161,13 +158,10 @@ class _DkState:
 
     The count c can only grow by one per appended element g, and only when
     g closes some zero-sum, i.e. -g is already a subsum; the running subsum
-    bitmask ``sums`` gates the lift test.  Each prefix also carries a
-    family of c disjoint zero-sum parts dividing it, and ``free``, the
-    subsum bitmask of the terms outside that family.  When g is 0 or -g is
-    in ``free``, the family plus a zero-sum through g from the free terms
-    gives c+1 parts, so the count lifts with no search.
+    bitmask ``sums`` gates the lift test, and a copy of 0 always lifts.
+    ``counts`` holds c for every prefix on the stack.
 
-    Otherwise one bit of a part-sum reach table decides.  ``tables[t]``
+    Past the gate one bit of a part-sum reach table decides.  ``tables[t]``
     lives in G^(t+1): bit s_0 + s_1*|G| + ... + s_t*|G|^t is set when the
     prefix holds disjoint P_0, P_1, ..., P_t with those sums, where
     P_1 .. P_t are nonempty and were opened in the order the terms were
@@ -183,15 +177,14 @@ class _DkState:
     with |G|^(c+1) <= ``DK_REACH_MAX_BITS`` and is never dropped.  The
     ``reach`` stack holds it for the root; a push records only g, and the
     folds pending below the last materialised tables are done at the first
-    decision that needs them.  ``lifts_disjoint_count`` collects the family
-    of a table-confirmed lift below k, and decides the lifts of a count
-    past the cap; a memo of its sub-decisions is kept across the whole
-    search.  Every decision is exact, so the search tree does not depend on
-    which family is carried.
+    decision that needs them.  Past the cap ``lifts_disjoint_count``
+    decides the lift, with a memo of its sub-decisions kept across the
+    whole search.  Both decisions are exact, so the search tree does not
+    depend on which one decided.
     """
 
-    __slots__ = ("group", "k", "mult", "neg", "sums", "families", "frees",
-                 "levels", "reach", "shifts", "memo")
+    __slots__ = ("group", "k", "mult", "neg", "sums", "counts", "levels", "reach",
+                 "shifts", "memo")
 
     def __init__(self, group: Group, k: int):
         self.group = group
@@ -199,8 +192,7 @@ class _DkState:
         self.mult = [0] * group.order
         self.neg = group.neg_table()
         self.sums = [0]
-        self.families = [()]
-        self.frees = [0]
+        self.counts = [0]
         # tables[c] for every count c < k with |G|^(c+1) bits within the cap
         levels = 0
         while levels < k and group.order ** (levels + 1) <= DK_REACH_MAX_BITS:
@@ -212,39 +204,25 @@ class _DkState:
 
     def try_push(self, g: int) -> bool:
         sums = self.sums[-1]
-        family = self.families[-1]
-        count = len(family)
-        free = self.frees[-1]
-        translate = self.group.translate_mask
+        count = self.counts[-1]
         neg = self.neg[g]
         self.mult[g] += 1
-        lifted = False
-        found = None
-        if g == 0 or (free >> neg) & 1:
+        if g == 0:
             lifted = True
-        elif (sums >> neg) & 1:
-            if count < self.levels:
-                lifted = (self._tables()[count] >> neg) & 1
-            if count >= self.levels or (lifted and count + 1 < self.k):
-                # past the cap this decides the lift; below k it collects
-                # the family of the lift
-                found = [] if count + 1 < self.k else None
-                lifted = lifts_disjoint_count(self.group, self.mult, g, count + 1,
-                                              memo=self.memo, collect=found)
+        elif not (sums >> neg) & 1:
+            lifted = False
+        elif count < self.levels:
+            lifted = (self._tables()[count] >> neg) & 1
+        else:
+            lifted = lifts_disjoint_count(self.group, self.mult, g, count + 1,
+                                          memo=self.memo)
         if lifted:
-            if count + 1 >= self.k:
+            count += 1
+            if count >= self.k:
                 self.mult[g] -= 1
                 return False
-            if found is None:
-                family, free = self._extend(family, g)
-            else:
-                family = tuple(found)
-                free = self._free_mask(self._free_terms(family))
-        else:
-            free |= translate(free, g) | (1 << g)
-        self.sums.append(sums | translate(sums, g) | (1 << g))
-        self.families.append(family)
-        self.frees.append(free)
+        self.sums.append(sums | self.group.translate_mask(sums, g) | (1 << g))
+        self.counts.append(count)
         # the child's tables are this prefix's folded with g, when needed
         self.reach.append(g)
         return True
@@ -299,47 +277,10 @@ class _DkState:
         self.shifts[h] = shifts = tuple(shifts)
         return shifts
 
-    def _free_terms(self, family):
-        work = list(self.mult)
-        for part in family:
-            for i in part:
-                work[i] -= 1
-        return work
-
-    def _free_mask(self, work):
-        translate = self.group.translate_mask
-        free = 0
-        for e, v in enumerate(work):
-            for _ in range(v):
-                free |= translate(free, e) | (1 << e)
-        return free
-
-    def _extend(self, family, g):
-        """The family plus the shortest part through g from the free
-        terms, and the new free mask."""
-        work = self._free_terms(family)
-        work[g] -= 1
-        if g == 0:
-            rest = ()
-        else:
-            # one fold of the free terms serves the shortest length
-            # through g and the lexicographic walk
-            neg = self.neg[g]
-            total = sum(work)
-            support, tables = _suffix_tables(self.group, work, total)
-            lengths = _slot(tables[0], neg, total) & ~1
-            shortest = (lengths & -lengths).bit_length() - 1
-            rest = _lex_smallest_walk(self.group, work, support, tables, total,
-                                      shortest, neg)
-            for i in rest:
-                work[i] -= 1
-        return family + (tuple(sorted(rest + (g,))),), self._free_mask(work)
-
     def pop(self, g: int):
         self.mult[g] -= 1
         self.sums.pop()
-        self.families.pop()
-        self.frees.pop()
+        self.counts.pop()
         self.reach.pop()
 
     def slack(self, last=None, run=0):

@@ -301,6 +301,7 @@ PINNED_SEARCHES = [
     ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 174),
     ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 494),
     ([2, 2, 4], "dk", 2, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 6572),
+    ([6], "dk", 3, True, 18, [1] * 17, 1802),
     ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 2369),
     ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 488),
     ([2, 2, 2], "dk", 2, False, 7, [1, 2, 3, 4, 5, 6], 1235),
@@ -321,30 +322,16 @@ def test_pinned_search_trees(factors, kind, k, orbit, value, witness, nodes):
     assert res.stats.nodes == nodes
 
 
-def _check_carried_family(state, prefix):
-    """The top of a _DkState stack: disjoint zero-sum parts that divide
-    the prefix, and the subsum masks of the prefix and of the terms
-    outside the family, recomputed with sets; returns the count."""
-    group = state.group
-
-    def subsum_mask(terms):
+def test_dk_state_carries_the_disjoint_count(small_groups):
+    """The top of a _DkState stack holds the prefix's disjoint zero-sum
+    count and its subsum mask, recomputed with sets; a refused push is one
+    that reaches k."""
+    def subsum_mask(group, terms):
         sums = set()
         for t in terms:
             sums |= {group.add_index(s, t) for s in sums} | {t}
         return sum(1 << e for e in sums)
 
-    family = state.families[-1]
-    free = list(prefix)
-    for part in family:
-        assert part and Sequence.from_indices(group, part).sum().index == 0
-        for i in part:
-            free.remove(i)
-    assert state.frees[-1] == subsum_mask(free)
-    assert state.sums[-1] == subsum_mask(prefix)
-    return len(family)
-
-
-def test_dk_state_carries_a_maximum_disjoint_family(small_groups):
     rng = random.Random(41)
     for _ in range(150):
         group = rng.choice(small_groups)
@@ -359,48 +346,11 @@ def test_dk_state_carries_a_maximum_disjoint_family(small_groups):
             grown = Sequence.from_indices(group, prefix + [g])
             if not state.try_push(g):
                 assert brute_max_disjoint(grown) >= k
-                assert len(state.families) == len(prefix) + 1
+                assert len(state.counts) == len(prefix) + 1
                 continue
             prefix.append(g)
-            assert _check_carried_family(state, prefix) == brute_max_disjoint(grown) < k
-
-
-def test_dk_search_carries_families_from_both_lift_paths(monkeypatch):
-    # D_3(C6) takes both paths: the cheap lift through the free terms, and
-    # the exhaustive lift whose family the state then carries
-    collected = []
-    lifts = invariants.lifts_disjoint_count
-
-    def counting_lifts(*args, collect=None, **kwargs):
-        lifted = lifts(*args, collect=collect, **kwargs)
-        if lifted and collect is not None:
-            collected.append(tuple(collect))
-        return lifted
-
-    monkeypatch.setattr(invariants, "lifts_disjoint_count", counting_lifts)
-
-    class Checked(invariants._DkState):
-        __slots__ = ("path",)
-
-        def __init__(self, group, k):
-            super().__init__(group, k)
-            self.path = []
-
-        def try_push(self, g):
-            if not super().try_push(g):
-                return False
-            self.path.append(g)
-            _check_carried_family(self, self.path)
-            return True
-
-        def pop(self, g):
-            super().pop(g)
-            self.path.pop()
-
-    group = make_group([6])
-    out = dfs_run(group, Checked(group, 3), orbit_pruning=True)
-    assert (out.best + 1, out.stats.nodes) == (18, 1802)
-    assert collected
+            assert state.counts[-1] == brute_max_disjoint(grown) < k
+            assert state.sums[-1] == subsum_mask(group, prefix)
 
 
 def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
@@ -422,7 +372,7 @@ def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
                 state.pop(prefix.pop())
             elif state.try_push(g := rng.choice(palette)):
                 prefix.append(g)
-        count = len(state.families[-1])
+        count = state.counts[-1]
         assert count < state.levels
         assert brute(group, tuple(sorted(prefix)), count + 1) == count
         table = state._tables()[count]

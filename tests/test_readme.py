@@ -1,13 +1,17 @@
 """The README's library tour runs as written and gives the values its
-comments state; its command-line block runs and exits as README says."""
+comments state; its command-line block runs and exits as README says; the
+package needs nothing beyond the standard library, as README says."""
 
+import ast
 import re
 import shlex
+import sys
 from pathlib import Path
 
 from zerosum.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "zerosum"
 
 
 def test_readme_library_tour():
@@ -43,3 +47,16 @@ def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == expected, argv
         capsys.readouterr()
     assert (tmp_path / "ck.json").exists() and (tmp_path / "tables.csv").exists()
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    imported = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - sys.stdlib_module_names - {"zerosum"} == set()
