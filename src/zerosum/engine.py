@@ -316,7 +316,8 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
     parts through it, never drops it, and neither reads nor writes the
     memo; a zero part discharges a forced 0.  ``collect`` receives a
     witness family on success; ``memo`` caches (multiset, needed)
-    decisions, of which only refutations are reused while collecting.
+    decisions.  The two are not passed together: a cached success holds
+    no family.
     """
     if needed <= 0:
         if collect is not None:
@@ -343,7 +344,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
             if memo is not None:
                 key = (bytes(work), needed)
                 hit = memo.get(key)
-                if hit is not None and (collect is None or not hit):
+                if hit is not None:
                     return hit
             # a zero-sum short enough to pay for `needed` parts must exist
             limit = total_len // needed

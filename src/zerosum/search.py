@@ -6,8 +6,9 @@ and its depth bound; ``dfs_run`` owns candidate order, optional
 automorphism-orbit pruning of maximise searches (the first two positions,
 and every later position through a chain of pointwise stabilisers, with
 the gates and run caps of lex-least prefixes), the
-cut of subtrees that the depth bound shows cannot beat the best, node/time
-budgets, and resumable checkpoints (the serialized cursor stack).
+cut of subtrees that the depth bound shows cannot beat the best or reach
+the target length, node/time budgets, and resumable checkpoints (the
+serialized cursor stack).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Budget:
 class SearchStats:
     nodes: int = 0
     seconds: float = 0.0
-    slack_prunes: int = 0           # pushes whose subtree the depth bound cut
+    slack_prunes: int = 0           # pushes whose subtree the depth bound cut: it could
+                                    # not beat the best, or reach the target length
 
     def to_json(self):
         return {"nodes": self.nodes, "seconds": round(self.seconds, 3),
@@ -334,20 +336,23 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     rules (their runs still open gates and caps); with the witness's own
     prefix pinned, W still passes every later test.
 
-    In maximize mode a push is cut, with its subtree, when
-    ``len(path) + state.slack(last, run) <= best``: the state bounds how
-    many terms could still follow a path that ends in ``run`` copies of
-    ``last``.  With orbit pruning ``last`` is the element just pushed and
+    A push is cut, with its subtree, when ``len(path) + state.slack(last,
+    run)`` is below the goal: ``best + 1`` in maximize mode,
+    ``target_length`` in enumerate mode.  The state bounds how many terms
+    could still follow a path that ends in ``run`` copies of ``last``
+    (None: no bound, no cut).  ``last`` is the element just pushed, and
     the bound is by multiplicity: a kept sequence holds at most cap(h)
     copies of h (ord(h) - 1 for D and eta, exp(G) - 1 for s), every later
     term is at least ``last``, and an element that cannot be pushed now
     never can be later, since the subsum table only grows.  So at most
     the sum of cap(h) - mult(h) over the pushable h >= last terms follow.
-    Without orbit pruning the state gets no ``last`` and only D's subsum
-    count bounds the depth, so ``orbit_pruning=False`` stays the reference
-    tree.
-    The cut keeps the witness: no tuple in a cut subtree is longer than
-    ``best``, and the first tuple of that length was met before it.
+    A maximise search without orbit pruning gives the state no ``last``,
+    and only D's subsum count bounds the depth, so ``orbit_pruning=False``
+    stays the reference tree.  The cut keeps the witness: no tuple in a
+    cut subtree is longer than ``best``, and the first tuple of that
+    length was met before it.  Unlike the orbit rules it is sound for
+    counts: no tuple in a cut subtree has ``target_length`` terms, so an
+    enumeration emits the same tuples in the same order.
     """
     n = group.order
     maximize = target_length is None
@@ -464,20 +469,21 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             if len(path) > best:
                 best = len(path)
                 witness = list(path)
-            # the path is non-decreasing, so every copy of g ends it
-            slack = state.slack(g, path.count(g)) if prune else state.slack()
-            if slack is not None and len(path) + slack <= best:
-                slack_prunes += 1
-                state.pop(path.pop())
-                continue
-            descend(g)
+            goal = best + 1
+        elif len(path) == target_length:
+            if emit is not None:
+                emit(tuple(path))
+            state.pop(path.pop())
+            continue
         else:
-            if len(path) == target_length:
-                if emit is not None:
-                    emit(tuple(path))
-                state.pop(path.pop())
-            else:
-                descend(g)
+            goal = target_length
+        # the path is non-decreasing, so every copy of g ends it
+        slack = state.slack() if maximize and not prune else state.slack(g, path.count(g))
+        if slack is not None and len(path) + slack < goal:
+            slack_prunes += 1
+            state.pop(path.pop())
+            continue
+        descend(g)
 
     stats = SearchStats(nodes, time.perf_counter() - started, slack_prunes)
     return DfsOutcome(best, witness, stats, status, checkpoint)

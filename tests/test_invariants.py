@@ -12,6 +12,8 @@ from zerosum import (
     check_property_d,
     compute,
     detect_arithmetic_tail,
+    enumerate_eta_extremal,
+    enumerate_s_extremal,
     formula_oracle,
     has_nonempty_zero_sum,
     has_property,
@@ -279,6 +281,42 @@ def test_search_state_keeps_exactly_the_sequences_without_the_property(factors, 
         assert emitted == lacking, length
 
 
+# eta and s of each group, from the rank-two formulas 2m + n - 2 and
+# 2m + 2n - 3 of C_m + C_n (m | n), and 2^r, 2^r + 1 for C2^r
+CONSTANTS = {(4,): (4, 7), (6,): (6, 11), (2, 4): (6, 9), (3, 3): (7, 9), (2, 2, 2): (8, 9)}
+
+
+@pytest.mark.parametrize("kind", ["eta", "s"])
+@pytest.mark.parametrize("factors", list(CONSTANTS), ids=str)
+def test_enumeration_depth_cut_keeps_exactly_the_extremal_sequences(factors, kind):
+    """At the constant's length minus one, where the multiplicity bound
+    cuts subtrees, and at the constant itself, where nothing is left,
+    dfs_run with search_state emits exactly the multisets without the
+    property, in lexicographic order, that brute-force subsums find.
+    Every sub-multiset of a multiset without the property lacks it too,
+    so the candidates of each length are the sorted one-term extensions
+    of the previous length's list."""
+    group = make_group(list(factors))
+    exp = group.exponent
+    constant = CONSTANTS[factors][kind == "s"]
+    lacking = [()]
+    for length in range(1, constant + 1):
+        candidates = [c + (g,) for c in lacking for g in range(c[-1] if c else 0, group.order)]
+        lacking = []
+        for combo in candidates:
+            lengths = brute_subsums(Sequence.from_indices(group, combo))[0]
+            if not (exp in lengths if kind == "s" else any(0 < L <= exp for L in lengths)):
+                lacking.append(combo)
+        if length < constant - 1:
+            continue
+        emitted = []
+        out = dfs_run(group, search_state(group, kind), target_length=length,
+                      emit=emitted.append)
+        assert emitted == lacking, length
+        assert bool(lacking) == (length < constant)
+        assert out.stats.slack_prunes > 0
+
+
 def test_result_json_shape():
     res = compute(make_group([2, 4]), "eta")
     payload = res.to_json()
@@ -320,6 +358,34 @@ def test_pinned_search_trees(factors, kind, k, orbit, value, witness, nodes):
     assert res.value == value
     assert res.witness == Sequence.from_indices(res.group, witness)
     assert res.stats.nodes == nodes
+
+
+# sequences found and node count of the extremal enumerations, whose tree
+# the multiplicity depth bound cuts wherever no tuple below reaches the
+# length; the Property D scan of C3 + C3 is pinned beside them
+PINNED_ENUMERATIONS = [
+    ([4, 4], "s", 192, 133178),
+    ([3, 6], "eta", 96, 22695),
+    ([2, 6], "s", 198, 76069),
+]
+
+
+@pytest.mark.parametrize(
+    "factors,kind,found,nodes", PINNED_ENUMERATIONS,
+    ids=["x".join(f"C{f}" for f in case[0]) + f"-{case[1]}" for case in PINNED_ENUMERATIONS])
+def test_pinned_enumeration_trees(factors, kind, found, nodes):
+    enumerate_extremal = {"eta": enumerate_eta_extremal, "s": enumerate_s_extremal}[kind]
+    sequences, out = enumerate_extremal(make_group(factors))
+    assert out.status == "complete"
+    assert len(sequences) == found
+    assert out.stats.nodes == nodes
+
+
+def test_pinned_property_d_tree():
+    report = check_property_d(3)
+    assert report.holds and report.status == "complete"
+    assert report.extremal_count == 54
+    assert report.stats.nodes == 1112
 
 
 def test_dk_state_carries_the_disjoint_count(small_groups):
