@@ -57,8 +57,9 @@ SCHEMA_VERSION = 1
 # pointwise stabiliser of the prefix; version 4 adds the multiplicity bound
 # on depth, and the checkpoint carries the slack prune count; version 5
 # adds the lex-least prefix gates and run caps (rebuilt on resume by
-# replaying the path).
-CHECKPOINT_VERSION = 5
+# replaying the path); version 6 skips the pushes the D state refuses, so
+# D node counts fall.
+CHECKPOINT_VERSION = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -334,7 +335,8 @@ def _cmd_lemma_check(args) -> int:
     if args.lemma == "stability":
         # a partial enumeration is checked as far as it got
         report = check_stability(group, args.kind, sequences=sequences)
-        payload, verified = {"result": report.to_json()}, report.holds
+        payload = {"result": {**report.to_json(), "stats": out.stats.to_json()}}
+        verified = report.holds
     elif args.lemma == "subsum":
         results = []
         for seq in sequences:

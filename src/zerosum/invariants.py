@@ -283,6 +283,9 @@ class _DkState:
         self.counts.pop()
         self.reach.pop()
 
+    def open(self):
+        return None
+
     def slack(self, last=None, run=0):
         return None
 

@@ -1,14 +1,14 @@
 """Shared DFS substrate for the invariant searches and enumerations.
 
 Sequences are explored as non-decreasing index tuples (one representative
-per multiset).  A search state object owns the incremental pruning data
-and its depth bound; ``dfs_run`` owns candidate order, optional
-automorphism-orbit pruning of maximise searches (the first two positions,
-and every later position through a chain of pointwise stabilisers, with
-the gates and run caps of lex-least prefixes), the
-cut of subtrees that the depth bound shows cannot beat the best or reach
-the target length, node/time budgets, and resumable checkpoints (the
-serialized cursor stack).
+per multiset).  A search state object owns the incremental pruning data,
+its depth bound and the mask of the pushes it would accept; ``dfs_run``
+owns candidate order, optional automorphism-orbit pruning of maximise
+searches (the first two positions, and every later position through a
+chain of pointwise stabilisers, with the gates and run caps of lex-least
+prefixes), the cut of subtrees that the depth bound shows cannot beat the
+best or reach the target length, node/time budgets, and resumable
+checkpoints (the serialized cursor stack).
 """
 
 from __future__ import annotations
@@ -353,6 +353,14 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     length was met before it.  Unlike the orbit rules it is sound for
     counts: no tuple in a cut subtree has ``target_length`` terms, so an
     enumeration emits the same tuples in the same order.
+
+    Under orbit pruning every frame's candidates are also ANDed with
+    ``state.open()``, the bitmask of the pushes the state would accept
+    (None: no filter).  A push it would refuse is never tried, so
+    ``nodes`` counts only the pushes the state left open; the accepted
+    pushes, their order, the value, the witness and the slack prunes are
+    those of the run without the mask.  Without orbit pruning every push
+    is tried, which keeps the reference tree and its node counts.
     """
     n = group.order
     maximize = target_length is None
@@ -383,19 +391,26 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 
     def allowed(depth):
         """Bitmask of the elements allowed at this depth, before the
-        non-decreasing cut."""
+        non-decreasing cut; under orbit pruning, only those the state
+        leaves open."""
         if restrict_prefix is not None and depth < len(restrict_prefix):
-            return 1 << restrict_prefix[depth]
-        if not prune:
+            mask = 1 << restrict_prefix[depth]
+        elif not prune:
             return full
-        if depth == 0:
-            return sum(1 << g for g in seeds)
-        if depth == 1:
+        elif depth == 0:
+            mask = sum(1 << g for g in seeds)
+        elif depth == 1:
             a = path[0]
-            return sum(1 << b for b in range(a, n) if (a, b) in pairs)
-        last, run, _, cap, gate = runs[-1]
-        bit = 1 << last
-        return (chain[-1].mask & gate & ~bit) | (bit if run < cap else 0)
+            mask = sum(1 << b for b in range(a, n) if (a, b) in pairs)
+        else:
+            last, run, _, cap, gate = runs[-1]
+            bit = 1 << last
+            mask = (chain[-1].mask & gate & ~bit) | (bit if run < cap else 0)
+        if prune:
+            open_mask = state.open()
+            if open_mask is not None:
+                mask &= open_mask
+        return mask
 
     def descend(g):
         """Open the frame below the element g just pushed onto the path."""
@@ -496,27 +511,26 @@ class _MultiplicityBound:
     """The multiplicity bound of ``dfs_run`` for one kind of packed table.
 
     Slot x of a table holds ``max_len + 1`` bits, and h can no longer be
-    pushed once slot -h meets ``lengths``; no sequence the search keeps
-    holds more than ``cap(ord(h))`` copies of h.  Adding ``carry`` to the
-    slots that meet ``lengths`` sets their top bits, so the mask
-    ``((table & block) + carry) & tops`` marks every blocked h at the top
-    bit of slot -h (a bitmask of one-bit slots is that mask itself);
-    ``after[last]`` pairs each nonzero cap c with the top bits of the
-    slots -h, h > last, whose cap is c.  Built on the search's first slack
-    query, in O(|G|) mask steps per cap.
+    pushed once slot ``slots[h]`` meets ``lengths``; no sequence the
+    search keeps holds more than ``cap(ord(h))`` copies of h.  Adding
+    ``carry`` to the slots that meet ``lengths`` sets their top bits, so
+    the mask ``((table & block) + carry) & tops`` marks every blocked h at
+    the top bit of its slot (a bitmask of one-bit slots is that mask
+    itself); ``after[last]`` pairs each nonzero cap c with the top bits of
+    the slots of the h > last whose cap is c.  Built on the search's first
+    slack query, in O(|G|) mask steps per cap.
     """
 
     __slots__ = ("block", "carry", "tops", "cap", "top", "after")
 
-    def __init__(self, group: Group, max_len: int, lengths: int, cap):
+    def __init__(self, group: Group, max_len: int, lengths: int, cap, slots):
         n = group.order
         width = max_len + 1
         ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
         self.block = lengths * ones
         self.carry = ((1 << max_len) - 1) * ones
         self.tops = ones << max_len
-        neg = group.neg_table()
-        self.top = [neg[h] * width + max_len for h in range(n)]
+        self.top = [slots[h] * width + max_len for h in range(n)]
         orders = [group.order_of_index(h) for h in range(n)]
         caps = {d: cap(d) for d in set(orders)}
         if None in caps.values():
@@ -546,42 +560,52 @@ class _MultiplicityBound:
 
 
 class DavenportState:
-    """Zero-sum-free prefixes; carries the running subsum bitmask.
+    """Zero-sum-free prefixes; carries the negated subsum bitmask.
 
-    Appending g is legal unless -g is already a subsum (or g is 0).  The
+    Each stack entry is N = -Sigma, the negatives of the prefix's nonempty
+    subsums, and a push of g is one translate, N | (N - g) | {-g}.
+    Appending g is legal unless g is 0 or -g is already a subsum, i.e. bit
+    g of N is set, so open() reads the pushes left open off N itself.  The
     subsum set of a zero-sum-free sequence grows strictly with each term
     and omits 0, which yields the depth bound used by slack(); with
     ``last`` it is capped by the multiplicity bound, h^ord(h) being a
     zero-sum.
     """
 
-    __slots__ = ("group", "neg", "stack", "bound")
+    __slots__ = ("group", "neg", "nonzero", "stack", "bound")
 
     def __init__(self, group: Group):
         self.group = group
         self.neg = group.neg_table()
+        self.nonzero = ((1 << group.order) - 1) & ~1
         self.stack = [0]
         self.bound = None
 
     def try_push(self, g: int) -> bool:
-        sums = self.stack[-1]
-        if g == 0 or (sums >> self.neg[g]) & 1:
+        negs = self.stack[-1]
+        if g == 0 or (negs >> g) & 1:
             return False
-        self.stack.append(sums | self.group.translate_mask(sums, g) | (1 << g))
+        minus = self.neg[g]
+        self.stack.append(negs | self.group.translate_mask(negs, minus) | (1 << minus))
         return True
 
     def pop(self, g: int):
         self.stack.pop()
 
+    def open(self):
+        """Bitmask of the g that try_push would accept."""
+        return self.nonzero & ~self.stack[-1]
+
     def slack(self, last=None, run=0):
-        sums = self.stack[-1]
-        room = (self.group.order - 1) - sums.bit_count()
+        negs = self.stack[-1]
+        room = (self.group.order - 1) - negs.bit_count()
         if last is None:
             return room
         if self.bound is None:
-            # a bitmask is a table of one-bit slots, h blocked by bit -h
-            self.bound = _MultiplicityBound(self.group, 0, 1, lambda d: d - 1)
-        return min(room, self.bound.extra(sums, last, run))
+            # a bitmask is a table of one-bit slots, h blocked by bit h
+            self.bound = _MultiplicityBound(self.group, 0, 1, lambda d: d - 1,
+                                            range(self.group.order))
+        return min(room, self.bound.extra(negs, last, run))
 
 
 class ReachState:
@@ -589,41 +613,51 @@ class ReachState:
 
     Each stack entry is a packed reach table (``engine._layout``), and a
     push adds one copy of g with one translate.  ``forbidden`` is a
-    bitmask over lengths; a push creating any forbidden length at element
-    0, the table's lowest slot, is rejected.  Covers both the
-    short-zero-sum and the exact-exp-length detectors.  With ``last``,
-    slack() is the multiplicity bound: h^L is a zero-sum of length L when
-    ord(h) divides L, so the least such forbidden L caps h at L - 1 copies
-    (ord(h) - 1 for the short detector, exp(G) - 1 for the exp-length one).
+    bitmask over lengths, without length 0; a push creating any forbidden
+    length at element 0, the table's lowest slot, is rejected.  It does so
+    exactly when slot -g of the parent holds a length L - 1 with L
+    forbidden, so try_push reads that slot first and translates only the
+    pushes it accepts.  Covers both the short-zero-sum and the
+    exact-exp-length detectors.  With ``last``, slack() is the
+    multiplicity bound: h^L is a zero-sum of length L when ord(h) divides
+    L, so the least such forbidden L caps h at L - 1 copies (ord(h) - 1
+    for the short detector, exp(G) - 1 for the exp-length one).
     """
 
-    __slots__ = ("group", "width", "keep", "forbidden", "stack", "bound")
+    __slots__ = ("group", "width", "keep", "forbidden", "refused", "shift", "stack",
+                 "bound")
 
     def __init__(self, group: Group, max_len: int, forbidden: int):
         self.group = group
         self.width, self.keep = _layout(group.order, max_len)
         self.forbidden = forbidden
+        # the lengths L - 1 < max_len, L forbidden, that refuse a push
+        self.refused = (forbidden >> 1) & ((1 << max_len) - 1)
+        self.shift = [x * self.width for x in group.neg_table()]
         self.stack = [1]
         self.bound = None
 
     def try_push(self, g: int) -> bool:
         table = self.stack[-1]
-        new = table | self.group.translate_mask((table & self.keep) << 1, g, self.width)
-        if new & self.forbidden:
+        if (table >> self.shift[g]) & self.refused:
             return False
-        self.stack.append(new)
+        self.stack.append(table | self.group.translate_mask((table & self.keep) << 1, g,
+                                                            self.width))
         return True
 
     def pop(self, g: int):
         self.stack.pop()
+
+    def open(self):
+        return None
 
     def slack(self, last=None, run=0):
         if last is None:
             return None
         if self.bound is None:
             # a push of h is refused when slot -h holds a length L - 1, L forbidden
-            self.bound = _MultiplicityBound(self.group, self.width - 1,
-                                            self.forbidden >> 1, self._cap)
+            self.bound = _MultiplicityBound(self.group, self.width - 1, self.refused,
+                                            self._cap, self.group.neg_table())
         bound = self.bound
         blocked = ((self.stack[-1] & bound.block) + bound.carry) & bound.tops
         return bound.extra(blocked, last, run)

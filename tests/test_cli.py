@@ -50,7 +50,7 @@ def test_constant_csv_columns(capsys):
 def test_budget_exhaustion_exit_code(capsys, tmp_path):
     ck = tmp_path / "search.json"
     code, out = run_cli(["constant", "--group", "2,4,4", "--kind", "d",
-                         "--budget-nodes", "2000", "--checkpoint", str(ck)], capsys)
+                         "--budget-nodes", "800", "--checkpoint", str(ck)], capsys)
     assert code == 2
     assert json.loads(out)["result"]["status"] == "partial"
     assert ck.exists()
@@ -63,15 +63,16 @@ def test_checkpoint_resume_round_trip(capsys, tmp_path):
 
     ck = tmp_path / "ck.json"
     code, out = run_cli(["constant", "--group", "3,9", "--kind", "d",
-                         "--budget-nodes", "4000", "--checkpoint", str(ck)], capsys)
+                         "--budget-nodes", "1000", "--checkpoint", str(ck)], capsys)
     assert code == 2
     rounds = 0
     while code == 2:
         code, out = run_cli(["constant", "--group", "3,9", "--kind", "d",
-                             "--budget-nodes", "40000",
+                             "--budget-nodes", "1000",
                              "--checkpoint", str(ck), "--resume"], capsys)
         rounds += 1
         assert rounds < 40
+    assert code == 0 and rounds >= 3
     resumed = json.loads(out)["result"]
     assert resumed["value"] == full["value"]
     assert resumed["witness"] == full["witness"]
@@ -129,8 +130,8 @@ def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
                        "--budget-nodes", "2000", "--checkpoint", str(ck)], capsys)
     assert code == 2
     stored = json.loads(ck.read_text())
-    assert stored["job"]["version"] == 5
-    stored["job"]["version"] = 4
+    assert stored["job"]["version"] == 6
+    stored["job"]["version"] = 5
     ck.write_text(json.dumps(stored))
     code = main(["constant", "--group", "2,2,6", "--kind", "eta",
                  "--checkpoint", str(ck), "--resume"])
@@ -257,6 +258,27 @@ def test_lemma_check_stability(capsys):
                          "--group", "2,4", "--kind", "eta"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["holds"] is True
+
+
+def test_lemma_check_stability_stats(capsys):
+    # the stats block counts the extremal enumeration (eta(C3xC6) is
+    # pinned at 22,695 nodes); the rest of the output is byte-identical
+    # between reruns
+    args = ["lemma-check", "--lemma", "stability", "--group", "3,6", "--kind", "eta"]
+    outs = []
+    for _ in range(2):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        stats = payload["result"].pop("stats")
+        assert set(stats) == {"nodes", "seconds", "slack_prunes"}
+        assert stats["nodes"] == 22695 and stats["slack_prunes"] > 0
+        outs.append(json.dumps(payload, sort_keys=True))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["result"]["checked"] == 96
+    code, out = run_cli(args + ["--budget-nodes", "10"], capsys)
+    assert code == 2
+    assert json.loads(out)["result"]["stats"]["nodes"] == 10
 
 
 def test_lemma_check_subsum(capsys):

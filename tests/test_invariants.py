@@ -185,7 +185,7 @@ def test_orbit_pruning_does_not_change_values():
 
 def test_budget_gives_partial_lower_bound():
     g = make_group([2, 4, 4])
-    res = compute(g, "d", budget=Budget(max_nodes=2000))
+    res = compute(g, "d", budget=Budget(max_nodes=800))
     assert res.status == "partial"
     assert res.checkpoint is not None
     assert res.value <= 8
@@ -195,14 +195,15 @@ def test_budget_gives_partial_lower_bound():
 def test_resume_reaches_identical_result():
     g = make_group([3, 9])
     full = compute(g, "d")
-    partial = compute(g, "d", budget=Budget(max_nodes=5000))
+    partial = compute(g, "d", budget=Budget(max_nodes=800))
     assert partial.status == "partial"
     rounds = 0
     while partial.status == "partial":
-        partial = compute(g, "d", budget=Budget(max_nodes=50000),
+        partial = compute(g, "d", budget=Budget(max_nodes=800),
                           resume=partial.checkpoint)
         rounds += 1
         assert rounds < 50
+    assert rounds >= 3
     assert partial.value == full.value
     assert partial.witness == full.witness
     assert partial.stats.nodes == full.stats.nodes
@@ -333,8 +334,8 @@ def test_result_json_shape():
 # orbit-pruned trees also pin the stabiliser chain and the multiplicity
 # bound, the unpruned ones the bare search
 PINNED_SEARCHES = [
-    ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 7042),
-    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 17795),
+    ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 1654),
+    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 4099),
     ([2, 2, 2], "dk", 2, True, 7, [1, 2, 3, 4, 5, 6], 52),
     ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 174),
     ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 494),
@@ -358,6 +359,45 @@ def test_pinned_search_trees(factors, kind, k, orbit, value, witness, nodes):
     assert res.value == value
     assert res.witness == Sequence.from_indices(res.group, witness)
     assert res.stats.nodes == nodes
+
+
+class _Unmasked:
+    """A search state that leaves every refusal to try_push (open() gives
+    no mask) and counts the pushes it accepts."""
+
+    def __init__(self, state):
+        self.state = state
+        self.accepted = 0
+
+    def try_push(self, g):
+        accepted = self.state.try_push(g)
+        self.accepted += accepted
+        return accepted
+
+    def pop(self, g):
+        self.state.pop(g)
+
+    def open(self):
+        return None
+
+    def slack(self, last=None, run=0):
+        return self.state.slack(last, run)
+
+
+@pytest.mark.parametrize("factors", [case[0] for case in PINNED_SEARCHES
+                                     if case[1] == "d" and case[3]], ids=str)
+def test_open_mask_skips_exactly_the_refused_pushes(factors):
+    """The orbit-pruned D searches find the same value, witness and slack
+    prunes with and without the state's open() mask, and with it every
+    push tried is accepted: its nodes are the unmasked run's accepted
+    pushes."""
+    group = make_group(factors)
+    masked = dfs_run(group, search_state(group, "d"), orbit_pruning=True)
+    wrapped = _Unmasked(search_state(group, "d"))
+    unmasked = dfs_run(group, wrapped, orbit_pruning=True)
+    assert (masked.best, masked.witness, masked.stats.slack_prunes) == \
+        (unmasked.best, unmasked.witness, unmasked.stats.slack_prunes)
+    assert masked.stats.nodes == wrapped.accepted < unmasked.stats.nodes
 
 
 # sequences found and node count of the extremal enumerations, whose tree

@@ -198,6 +198,9 @@ class _RefuseLonger:
     def pop(self, g):
         self.path.pop()
 
+    def open(self):
+        return None
+
     def slack(self, last=None, run=0):
         return None
 
@@ -254,6 +257,78 @@ def test_reach_state_tables_match_brute_subsums(factors):
             while prefix:
                 state.pop(prefix.pop())
             assert state.stack == [1]
+
+
+ORACLE_GROUPS = [[2, 2, 2], [2, 4], [3, 3], [2, 2, 4], [4, 4]]
+
+
+def brute_has_property(group, terms, kind):
+    """Whether the terms hold a forbidden zero-sum, from brute-force
+    subsums: a nonempty one for d, one of length at most exp(G) for eta,
+    one of length exactly exp(G) for s."""
+    lengths = brute_subsums(Sequence.from_indices(group, terms))[0] - {0}
+    exp = group.exponent
+    return {"d": bool(lengths), "eta": any(L <= exp for L in lengths),
+            "s": exp in lengths}[kind]
+
+
+def walk_valid_prefixes(group, kind, seed, visit):
+    """Call ``visit(state, prefix, keeps)`` along random prefixes without
+    the kind's property, with ``keeps`` the h for which prefix + h still
+    lacks it (by brute force); each step pushes one of them."""
+    rng = random.Random(f"{seed}{group.invariant_factors}{kind}")
+    for _ in range(12):
+        state = search_state(group, kind)
+        prefix = []
+        for _ in range(rng.randint(1, 8)):
+            keeps = [h for h in range(group.order)
+                     if not brute_has_property(group, prefix + [h], kind)]
+            visit(state, prefix, keeps)
+            if not keeps:
+                break
+            h = rng.choice(keeps)
+            assert state.try_push(h)
+            prefix.append(h)
+
+
+@pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=str)
+def test_davenport_open_mask_matches_brute_subsums(factors):
+    """On random zero-sum-free prefixes, the D state's open() is exactly
+    the set of h for which prefix + h stays zero-sum-free, and try_push
+    refuses every other h."""
+    group = make_group(factors)
+    n = group.order
+
+    def visit(state, prefix, keeps):
+        mask = state.open()
+        assert mask >> n == 0
+        assert [h for h in range(n) if (mask >> h) & 1] == keeps, prefix
+        for h in range(n):
+            accepted = state.try_push(h)
+            assert accepted == (h in keeps), (prefix, h)
+            if accepted:
+                state.pop(h)
+
+    walk_valid_prefixes(group, "d", "open", visit)
+
+
+@pytest.mark.parametrize("kind", ["eta", "s"])
+@pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=str)
+def test_reach_state_refuses_exactly_the_forbidden_zero_sums(factors, kind):
+    """On random prefixes without a short (eta) or exp-length (s)
+    zero-sum, try_push refuses h exactly when prefix + h has one, by
+    brute-force subsums; open() filters nothing."""
+    group = make_group(factors)
+
+    def visit(state, prefix, keeps):
+        assert state.open() is None
+        for h in range(group.order):
+            accepted = state.try_push(h)
+            assert accepted == (h in keeps), (prefix, h)
+            if accepted:
+                state.pop(h)
+
+    walk_valid_prefixes(group, kind, "refuse", visit)
 
 
 def brute_extension(group, kind):

@@ -25,6 +25,9 @@ class PermissiveState:
     def pop(self, g):
         self.path.pop()
 
+    def open(self):
+        return None
+
     def slack(self, last=None, run=0):
         return None
 
