@@ -15,20 +15,6 @@ import os
 import sys
 
 from .errors import CapacityError, InvalidInputError
-from .extremal import (
-    build_dk_witness,
-    build_eta_extremal,
-    build_s_extremal,
-    check_stability,
-    classify_eta_extremal,
-    classify_s_extremal,
-    enumerate_eta_extremal,
-    enumerate_s_extremal,
-    find_subsum_certificate,
-    rank_two_params,
-    square_counterexample_report,
-    verify_subsum_certificate,
-)
 from .groups import CLI_GROUP_MAX_ORDER, parse_group
 from .invariants import (
     KIND_D,
@@ -264,6 +250,8 @@ def _parse_residues(text):
 
 
 def _cmd_witness(args) -> int:
+    from .extremal import build_dk_witness, build_eta_extremal, build_s_extremal, rank_two_params
+
     group = _group_from(args.group)
     if args.family == "dk":
         if args.m is None or args.k is None:
@@ -302,6 +290,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .extremal import classify_eta_extremal, classify_s_extremal
+
     group = _group_from(args.group)
     budget = _budget_from(args)
     if args.kind == KIND_ETA:
@@ -327,6 +317,9 @@ def _cmd_lemma_check(args) -> int:
     budget = _budget_from(args)
     status = "complete"
     if args.lemma in ("stability", "subsum"):
+        from .extremal import (check_stability, enumerate_eta_extremal, enumerate_s_extremal,
+                               find_subsum_certificate, verify_subsum_certificate)
+
         group = _group_from(args.group)
         enumerate_extremal = (enumerate_eta_extremal if args.kind == KIND_ETA
                               else enumerate_s_extremal)
@@ -346,10 +339,13 @@ def _cmd_lemma_check(args) -> int:
                 "certificate": cert.to_json() if cert else None,
                 "verified": cert is not None and verify_subsum_certificate(seq, cert),
             })
-        payload, verified = {"results": results}, all(r["verified"] for r in results)
+        payload = {"results": results, "stats": out.stats.to_json()}
+        verified = all(r["verified"] for r in results)
     elif args.lemma == "subsum-counterexample":
         if args.m is None:
             raise InvalidInputError("lemma subsum-counterexample needs --m")
+        from .extremal import square_counterexample_report
+
         report = square_counterexample_report(args.m)
         payload, verified = {"result": report.to_json()}, report.confirmed
     else:

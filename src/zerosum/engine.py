@@ -16,11 +16,10 @@ All operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, InvalidInputError
-from .groups import Group, QuotientMap, Subgroup, quotient
+from .groups import Group, QuotientMap, Subgroup, quotient, record
 from .sequences import Sequence
 
 MINIMAL_ENUM_MAX_LEN = 64
@@ -89,7 +88,7 @@ def _reach_masks(group: Group, mult, max_len: int, hom=None, image_group: Group 
     return _suffix_tables(group, mult, max_len, hom, image_group)[1][0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReachTable:
     """Subsum reachability: which lengths realize which element."""
 
@@ -283,7 +282,7 @@ def enumerate_minimal_zero_sums(seq: Sequence):
 # ---------------------------------------------------------------------------
 # Disjoint zero-sum subsequences
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DisjointDecomposition:
     """Disjoint non-empty zero-sum parts plus the untouched remainder."""
 
@@ -418,7 +417,7 @@ def lifts_disjoint_count(group: Group, mult, g: int, need: int, memo=None) -> bo
 # ---------------------------------------------------------------------------
 # Inductive-method partition
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InductivePartition:
     """Blocks with zero-sum projections in G/H, plus the resistant tail."""
 
@@ -476,7 +475,7 @@ def inductive_partition(seq: Sequence, sub: Subgroup) -> InductivePartition:
 # ---------------------------------------------------------------------------
 # Constructive extraction of an exp(G)-length zero-sum
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExtractionFailure:
     """A proof step whose guarantee failed; signals a wrong caller premise."""
 

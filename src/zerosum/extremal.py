@@ -17,12 +17,12 @@ disjoint zero-sum subsequences cannot be forced over C_2 + C_2m + C_2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd
 
 from .engine import reach_table
 from .errors import InvalidInputError
-from .groups import Element, Group, Subgroup, enumerate_subgroups, make_group, subgroup_generated_by
+from .groups import (Element, Group, Subgroup, enumerate_subgroups, make_group, record, replace,
+                     subgroup_generated_by)
 from .invariants import (KIND_ETA, KIND_S, formula_oracle, property_d_known,
                          rank_two_split, search_state)
 from .search import Budget, SearchStats, dfs_run
@@ -32,7 +32,7 @@ from .sequences import Sequence
 # ---------------------------------------------------------------------------
 # Parameters
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RankTwoParams:
     """Validated parameters (b1, b2, s, t, x, c) for the extremal families.
 
@@ -238,7 +238,7 @@ def enumerate_s_extremal(group: Group, budget: Budget | None = None):
     return _extremal_sequences(group, KIND_S, budget)
 
 
-@dataclass
+@record
 class ClassificationReport:
     group: Group
     kind: str
@@ -292,7 +292,7 @@ def classify_s_extremal(group: Group, budget: Budget | None = None) -> Classific
 # ---------------------------------------------------------------------------
 # Stability: extremal sequences never differ in exactly one element
 
-@dataclass
+@record
 class StabilityReport:
     group: Group
     kind: str
@@ -330,7 +330,7 @@ def check_stability(group: Group, kind: str, sequences=None,
 # ---------------------------------------------------------------------------
 # Restricted-subsum coverage certificates
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SubsumCertificate:
     subgroup: Subgroup
     k_prime: Element
@@ -400,7 +400,7 @@ def verify_subsum_certificate(seq: Sequence, cert: SubsumCertificate) -> bool:
     return not missing & ~coset and not cert.subgroup.contains(cert.k_prime)
 
 
-@dataclass
+@record
 class SquareCounterexampleReport:
     m: int
     sequence: Sequence

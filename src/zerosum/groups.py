@@ -13,8 +13,8 @@ workers; the only mutable state is the lazily filled caches that
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 from .errors import CapacityError, InvalidInputError
 
@@ -27,6 +27,96 @@ CLI_GROUP_MAX_ORDER = 1 << 16
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+class factory:
+    """Default of a record field built afresh for each instance, as in
+    ``stats: SearchStats = factory(SearchStats)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+# sets a field of a frozen record too; unlike writing to ``__dict__`` it
+# keeps the instance's attribute reads on the fast path
+_set_field = object.__setattr__
+
+
+def _refuse(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+
+def record(cls=None, *, frozen=False):
+    """Class decorator: a record over the annotated fields of ``cls``.
+
+    It adds what ``dataclasses.dataclass`` would: a constructor taking the
+    fields by position or keyword, with the class-level values as
+    defaults; equality between records of the same class with equal
+    fields; a repr unless the class writes its own; and, when ``frozen``,
+    hashing by the fields and refusal of assignment.  It generates no code,
+    which keeps the import of the package short.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen)
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    fields = frozenset(names)
+    static = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    fresh = {name: d.make for name, d in static.items() if isinstance(d, factory)}
+    for name in fresh:
+        del static[name]
+        delattr(cls, name)
+    key = attrgetter(*names)
+
+    def bind(args, kwargs):
+        """The field values, in order, of a call that names some or leaves
+        some to their defaults."""
+        values = dict(zip(names, args), **kwargs)
+        repeated = len(values) != len(args) + len(kwargs)
+        for name, make in fresh.items():
+            if name not in values:
+                values[name] = make()
+        values = {**static, **values}
+        if repeated or values.keys() != fields:
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}; got "
+                            f"{len(args)} positional and the keywords {', '.join(kwargs)}")
+        return [values[name] for name in names]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set_field(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({shown})"
+
+    cls._fields = names
+    cls.__init__ = __init__
+    cls.__eq__ = __eq__
+    cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = __repr__
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _refuse
+    return cls
+
+
+def replace(obj, **changes):
+    """Copy of the record ``obj`` with the fields named in ``changes`` replaced."""
+    values = {name: getattr(obj, name) for name in obj._fields}
+    values.update(changes)
+    return type(obj)(**values)
 
 
 def _unit_generators(m: int) -> list:
@@ -430,7 +520,7 @@ class Group:
         return self._automorphisms
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Element:
     """Group element: mixed-radix index plus residue vector."""
 
@@ -495,7 +585,7 @@ def parse_group(spec) -> Group:
 # ---------------------------------------------------------------------------
 # Subgroups
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Subgroup:
     """Subgroup given by a membership bitmask over element indices."""
 
@@ -646,7 +736,7 @@ def _all_subgroups(group: Group) -> tuple:
 # ---------------------------------------------------------------------------
 # Quotients
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuotientMap:
     """Surjective homomorphism G -> G/H with kernel exactly H."""
 

@@ -10,8 +10,6 @@ result re-verifies its own witness through the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import (
     DK_REACH_MAX_BITS,
     has_nonempty_zero_sum,
@@ -21,7 +19,7 @@ from .engine import (
     max_disjoint_zero_sums,
 )
 from .errors import InvalidInputError
-from .groups import Group
+from .groups import Group, factory, record
 from .search import (
     Budget,
     DavenportState,
@@ -128,7 +126,7 @@ def formula_oracle(group: Group, kind: str, k: int | None = None):
 # ---------------------------------------------------------------------------
 # Search results
 
-@dataclass
+@record
 class InvariantResult:
     group: Group
     kind: str
@@ -136,7 +134,7 @@ class InvariantResult:
     method: str                      # "search" | "formula"
     k: int | None = None
     witness: Sequence | None = None
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = factory(SearchStats)
     status: str = "complete"         # "complete" | "partial"
     checkpoint: dict | None = None
 
@@ -348,7 +346,7 @@ def compute(group: Group, kind: str, k: int | None = None,
 # ---------------------------------------------------------------------------
 # Arithmetic tail of (D_k)
 
-@dataclass
+@record
 class TailReport:
     group: Group
     horizon: int
@@ -395,14 +393,14 @@ def detect_arithmetic_tail(group: Group, k_max: int,
 # ---------------------------------------------------------------------------
 # Property D
 
-@dataclass
+@record
 class PropertyDReport:
     m: int
     holds: bool
     extremal_count: int
     counterexample: Sequence | None
     status: str = "complete"
-    stats: SearchStats = field(default_factory=SearchStats)
+    stats: SearchStats = factory(SearchStats)
 
     def to_json(self):
         return {

@@ -17,16 +17,15 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 
 from .engine import _layout
 from .errors import InvalidInputError
-from .groups import Group
+from .groups import Group, record
 
 ORBIT_PRUNING_MAX_ORDER = 1 << 8
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Budget:
     """Caps for a search; None means unlimited."""
 
@@ -34,7 +33,7 @@ class Budget:
     max_seconds: float | None = None
 
 
-@dataclass
+@record
 class SearchStats:
     nodes: int = 0
     seconds: float = 0.0
@@ -46,7 +45,7 @@ class SearchStats:
                 "slack_prunes": self.slack_prunes}
 
 
-@dataclass
+@record
 class DfsOutcome:
     best: int
     witness: list | None
@@ -200,23 +199,30 @@ class _Stabiliser:
             g = g.translate(reps[rng.randrange(len(reps))])
         return g
 
-    def child(self, b):
-        """The stabiliser of b in this group, built on first use."""
+    def orbit(self, b):
+        """The transversal of the orbit of b (see ``_close_orbit``)."""
+        orbit = {b: _IDENTITY}
+        _close_orbit(self.levels[0][0] if self.levels else (), orbit)
+        return orbit
+
+    def child(self, b, orbit=None):
+        """The stabiliser of b in this group, built on first use; ``orbit``,
+        when given, is ``self.orbit(b)``, so that it is not built twice."""
         node = self.children.get(b)
         if node is None:
             fixed = self.rep.count(b) == 1      # b is alone in its orbit
-            node = self.children[b] = self if fixed else self._point_stabiliser(b)
+            node = self.children[b] = self if fixed else self._point_stabiliser(b, orbit)
         return node
 
-    def _point_stabiliser(self, b):
+    def _point_stabiliser(self, b, orbit):
         if self.base[0] == b:
             # the rest of a BSGS is a BSGS of the first point's stabiliser
             return _Stabiliser(self.n, self.base[1:], self.levels[1:]).seal()
         # Schreier's lemma, with random group members: g followed by the
         # inverse transversal element of b^g fixes b, and it is uniform in
         # the stabiliser when g is uniform in this group
-        orbit = {b: _IDENTITY}
-        _close_orbit(self.levels[0][0], orbit)
+        if orbit is None:
+            orbit = self.orbit(b)
         rng = random.Random(b)
 
         def draws():
@@ -280,9 +286,8 @@ def canonical_first_two(group: Group):
         seeds = {a for a in range(root.n) if root.rep[a] == a}
         pairs = set()
         for a in seeds:
-            stab = root.child(a).rep
-            orbit = {a: _IDENTITY}
-            _close_orbit(root.levels[0][0] if root.levels else (), orbit)
+            orbit = root.orbit(a)
+            stab = root.child(a, orbit).rep
             pairs.update((a, b) for b in range(a, root.n)
                          if stab[b] == b and root.rep[b] >= a
                          and (b not in orbit or stab[orbit[b][a]] >= b))

@@ -282,10 +282,22 @@ def test_lemma_check_stability_stats(capsys):
 
 
 def test_lemma_check_subsum(capsys):
-    code, out = run_cli(["lemma-check", "--lemma", "subsum",
-                         "--group", "C6", "--kind", "eta"], capsys)
-    assert code == 0
-    results = json.loads(out)["results"]
+    # the stats block counts the extremal enumeration, as for stability;
+    # the rest of the output is byte-identical between reruns
+    args = ["lemma-check", "--lemma", "subsum", "--group", "C6", "--kind", "eta"]
+    outs = []
+    for _ in range(2):
+        code, out = run_cli(args, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        stats = payload.pop("stats")
+        assert set(stats) == {"nodes", "seconds", "slack_prunes"}
+        outs.append(json.dumps(payload, sort_keys=True))
+    assert outs[0] == outs[1]
+    _, out = run_cli(["lemma-check", "--lemma", "stability", "--group", "C6", "--kind", "eta"],
+                     capsys)
+    assert stats["nodes"] == json.loads(out)["result"]["stats"]["nodes"] > 0
+    results = json.loads(outs[0])["results"]
     assert results and all(r["verified"] for r in results)
 
 

@@ -282,3 +282,34 @@ def test_mask_shifts_translate_like_add_row(factors):
                 assert group.translate_mask(mask, g, width) == want
         assert group.mask_shifts(0, width) == ()
         assert group.mask_shifts(1, width) is group.mask_shifts(1, width)
+
+
+def test_records_construct_compare_and_hash_as_declared():
+    from zerosum import Budget, InvariantResult, SearchStats, rank_two_params
+    from zerosum.groups import replace
+
+    g = make_group([2, 4])
+    a, b = g.element([1, 2]), g.element([1, 2])
+    assert a == b and a is not b and {a: 1}[b] == 1 and len({a, b, g.zero()}) == 2
+    assert repr(a) == "Element(1, 2)"
+    sub = subgroup_generated_by(g, [a])
+    assert sub == subgroup_generated_by(g, [b]) and {sub} == {subgroup_generated_by(g, [b])}
+    assert repr(sub) == "Subgroup(order=2 of C2xC4)"
+    with pytest.raises(AttributeError):
+        a.index = 0
+    # positional and keyword arguments, defaults, and a fresh default per instance
+    assert Budget() == Budget(None, None) == Budget(max_seconds=None)
+    assert Budget(5) == Budget(max_nodes=5) != Budget(6) and hash(Budget(5)) == hash(Budget(5))
+    assert repr(Budget(5)) == "Budget(max_nodes=5, max_seconds=None)"
+    one, two = InvariantResult(g, "d", 5, "search"), InvariantResult(g, "d", 5, "search")
+    assert one == two and one.stats == SearchStats() and one.stats is not two.stats
+    assert (one.k, one.witness, one.status, one.checkpoint) == (None, None, "complete", None)
+    with pytest.raises(TypeError):
+        hash(one)
+    for bad in (lambda: Budget(1, 2, 3), lambda: Budget(1, max_nodes=2),
+                lambda: Budget(nodes=1), lambda: InvariantResult(g, "d")):
+        with pytest.raises(TypeError):
+            bad()
+    p = rank_two_params(g, [1, 0], [0, 1], s=1)
+    q = replace(p, s=2)
+    assert (p.s, q.s) == (1, 2) and q != p and replace(q, s=1) == p

@@ -5,6 +5,7 @@ package needs nothing beyond the standard library, as README says."""
 import ast
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +51,8 @@ def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
 
 
 def test_package_imports_only_the_standard_library():
+    """Nothing outside the standard library, and not ``dataclasses``, whose
+    import and generated code cost more than a search at start-up."""
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     imported = set()
@@ -60,3 +63,24 @@ def test_package_imports_only_the_standard_library():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - sys.stdlib_module_names - {"zerosum"} == set()
+    assert "dataclasses" not in imported
+
+
+def test_import_loads_only_what_it_uses():
+    """A search or the command line loads neither ``zerosum.extremal`` nor
+    ``dataclasses``, and every public name still resolves.  A fresh
+    interpreter without site-packages (-S) starts from a clean slate."""
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})",
+        "import zerosum.invariants, zerosum.search",
+        "print(sorted(m for m in ('zerosum.extremal', 'dataclasses') if m in sys.modules))",
+        "import zerosum.cli",
+        "print(sorted(m for m in ('zerosum.extremal', 'dataclasses') if m in sys.modules))",
+        "import zerosum",
+        "print(all(getattr(zerosum, name) is not None for name in zerosum.__all__))",
+        "print('__all__' in dir(zerosum), len(zerosum.__all__))",
+    ])
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                         text=True, check=True).stdout.split("\n")
+    assert out[:4] == ["[]", "[]", "True", "True 65"]
