@@ -44,8 +44,9 @@ SCHEMA_VERSION = 1
 # on depth, and the checkpoint carries the slack prune count; version 5
 # adds the lex-least prefix gates and run caps (rebuilt on resume by
 # replaying the path); version 6 skips the pushes the D state refuses, so
-# D node counts fall.
-CHECKPOINT_VERSION = 6
+# D node counts fall; version 7 drops the multiplicity bound of D, which
+# prunes by its subsum count alone.
+CHECKPOINT_VERSION = 7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -271,7 +272,7 @@ def _cmd_witness(args) -> int:
         default_b2 = [0, 1] if group.rank == 2 else ([1] if group.rank else [])
         b2 = group.element(_parse_residues(args.b2)) if args.b2 else group.element(default_b2)
         c = group.element(_parse_residues(args.c)) if args.c else None
-        params = rank_two_params(group, b1, b2, s=args.s or n,
+        params = rank_two_params(group, b1, b2, s=n if args.s is None else args.s,
                                  t=args.t, x=args.x, c=c)
         if args.family == "eta":
             seq = build_eta_extremal(params)

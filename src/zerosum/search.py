@@ -345,14 +345,15 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     run)`` is below the goal: ``best + 1`` in maximize mode,
     ``target_length`` in enumerate mode.  The state bounds how many terms
     could still follow a path that ends in ``run`` copies of ``last``
-    (None: no bound, no cut).  ``last`` is the element just pushed, and
-    the bound is by multiplicity: a kept sequence holds at most cap(h)
-    copies of h (ord(h) - 1 for D and eta, exp(G) - 1 for s), every later
-    term is at least ``last``, and an element that cannot be pushed now
-    never can be later, since the subsum table only grows.  So at most
-    the sum of cap(h) - mult(h) over the pushable h >= last terms follow.
-    A maximise search without orbit pruning gives the state no ``last``,
-    and only D's subsum count bounds the depth, so ``orbit_pruning=False``
+    (None: no bound, no cut).  D bounds them by its subsum count alone.
+    The eta and s states bound them by multiplicity, from ``last``, the
+    element just pushed: a kept sequence holds at most cap(h) copies of h
+    (ord(h) - 1 for eta, exp(G) - 1 for s), every later term is at least
+    ``last``, and an element that cannot be pushed now never can be
+    later, since the subsum table only grows.  So at most the sum of
+    cap(h) - mult(h) over the pushable h >= last terms follow.  A
+    maximise search without orbit pruning gives the state no ``last``, so
+    only D's subsum count bounds the depth and ``orbit_pruning=False``
     stays the reference tree.  The cut keeps the witness: no tuple in a
     cut subtree is longer than ``best``, and the first tuple of that
     length was met before it.  Unlike the orbit rules it is sound for
@@ -386,12 +387,11 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     nodes = slack_prunes = 0
     started = time.perf_counter()
     full = (1 << n) - 1
-    # chain[d]: pointwise stabiliser of the distinct elements of path[:d]
-    chain = [stabiliser_chain(group)] if prune else None
-    # runs[j]: [p_j, m_j, H_j, cap_j, gate_j] for the j-th run of equal
-    # elements on the path: its element and copies so far, chain[-1] when
-    # it opened, the most copies the caps allow, and the AND of every
-    # H_i.at_least(p_i), i <= j
+    root = stabiliser_chain(group) if prune else None
+    # runs[j]: [p_j, m_j, H_j, K_j, cap_j, gate_j] for the j-th run of equal
+    # elements on the path: its element and copies so far, the pointwise
+    # stabilisers of p_1 ... p_(j-1) and of p_1 ... p_j, the most copies
+    # the caps allow, and the AND of every H_i.at_least(p_i), i <= j
     runs = []
 
     def allowed(depth):
@@ -408,9 +408,9 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             a = path[0]
             mask = sum(1 << b for b in range(a, n) if (a, b) in pairs)
         else:
-            last, run, _, cap, gate = runs[-1]
+            last, run, _, node, cap, gate = runs[-1]
             bit = 1 << last
-            mask = (chain[-1].mask & gate & ~bit) | (bit if run < cap else 0)
+            mask = (node.mask & gate & ~bit) | (bit if run < cap else 0)
         if prune:
             open_mask = state.open()
             if open_mask is not None:
@@ -421,15 +421,15 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         """Open the frame below the element g just pushed onto the path."""
         cursors.append(g)
         if prune:
-            node = chain[-1]
             if runs and runs[-1][0] == g:
                 runs[-1][1] += 1
             else:
-                cap = min((m for p, m, h, _, _ in runs if h.rep[g] == p), default=math.inf)
+                node = runs[-1][3] if runs else root
+                cap = min((m for p, m, h, *_ in runs if h.rep[g] == p), default=math.inf)
                 if translations and runs:
                     cap = min(cap, runs[0][1])
-                runs.append([g, 1, node, cap, node.at_least(g) & (runs[-1][4] if runs else full)])
-            chain.append(node.child(g))
+                runs.append([g, 1, node, node.child(g), cap,
+                             node.at_least(g) & (runs[-1][5] if runs else full)])
         masks.append(allowed(len(path)))
 
     cursors = [0]
@@ -458,12 +458,10 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         if not rest:
             cursors.pop()
             masks.pop()
-            if prune:
-                chain.pop()
-                if path:
-                    runs[-1][1] -= 1
-                    if not runs[-1][1]:
-                        runs.pop()
+            if prune and path:
+                runs[-1][1] -= 1
+                if not runs[-1][1]:
+                    runs.pop()
             if path:
                 state.pop(path.pop())
             continue
@@ -512,58 +510,6 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 # ---------------------------------------------------------------------------
 # Incremental search states
 
-class _MultiplicityBound:
-    """The multiplicity bound of ``dfs_run`` for one kind of packed table.
-
-    Slot x of a table holds ``max_len + 1`` bits, and h can no longer be
-    pushed once slot ``slots[h]`` meets ``lengths``; no sequence the
-    search keeps holds more than ``cap(ord(h))`` copies of h.  Adding
-    ``carry`` to the slots that meet ``lengths`` sets their top bits, so
-    the mask ``((table & block) + carry) & tops`` marks every blocked h at
-    the top bit of its slot (a bitmask of one-bit slots is that mask
-    itself); ``after[last]`` pairs each nonzero cap c with the top bits of
-    the slots of the h > last whose cap is c.  Built on the search's first
-    slack query, in O(|G|) mask steps per cap.
-    """
-
-    __slots__ = ("block", "carry", "tops", "cap", "top", "after")
-
-    def __init__(self, group: Group, max_len: int, lengths: int, cap, slots):
-        n = group.order
-        width = max_len + 1
-        ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
-        self.block = lengths * ones
-        self.carry = ((1 << max_len) - 1) * ones
-        self.tops = ones << max_len
-        self.top = [slots[h] * width + max_len for h in range(n)]
-        orders = [group.order_of_index(h) for h in range(n)]
-        caps = {d: cap(d) for d in set(orders)}
-        if None in caps.values():
-            self.after = None
-            return
-        self.cap = [caps[d] for d in orders]
-        classes = dict.fromkeys(sorted(set(self.cap) - {0}), 0)
-        self.after = [None] * n
-        for h in reversed(range(n)):
-            self.after[h] = tuple(classes.items())
-            if self.cap[h]:
-                classes[self.cap[h]] |= 1 << self.top[h]
-
-    def extra(self, blocked: int, last: int, run: int):
-        """The most terms that can follow a path that ends in ``run``
-        copies of ``last``, given its blocked mask; None when some cap is
-        unbounded."""
-        if self.after is None:
-            return None
-        free = ~blocked
-        extra = 0
-        for c, m in self.after[last]:
-            extra += c * (m & free).bit_count()
-        if (free >> self.top[last]) & 1:
-            extra += self.cap[last] - run
-        return extra
-
-
 class DavenportState:
     """Zero-sum-free prefixes; carries the negated subsum bitmask.
 
@@ -572,19 +518,17 @@ class DavenportState:
     Appending g is legal unless g is 0 or -g is already a subsum, i.e. bit
     g of N is set, so open() reads the pushes left open off N itself.  The
     subsum set of a zero-sum-free sequence grows strictly with each term
-    and omits 0, which yields the depth bound used by slack(); with
-    ``last`` it is capped by the multiplicity bound, h^ord(h) being a
-    zero-sum.
+    and omits 0, so at most |G| - 1 - |N| terms can follow: slack()
+    ignores ``last`` and ``run``.
     """
 
-    __slots__ = ("group", "neg", "nonzero", "stack", "bound")
+    __slots__ = ("group", "neg", "nonzero", "stack")
 
     def __init__(self, group: Group):
         self.group = group
         self.neg = group.neg_table()
         self.nonzero = ((1 << group.order) - 1) & ~1
         self.stack = [0]
-        self.bound = None
 
     def try_push(self, g: int) -> bool:
         negs = self.stack[-1]
@@ -602,15 +546,7 @@ class DavenportState:
         return self.nonzero & ~self.stack[-1]
 
     def slack(self, last=None, run=0):
-        negs = self.stack[-1]
-        room = (self.group.order - 1) - negs.bit_count()
-        if last is None:
-            return room
-        if self.bound is None:
-            # a bitmask is a table of one-bit slots, h blocked by bit h
-            self.bound = _MultiplicityBound(self.group, 0, 1, lambda d: d - 1,
-                                            range(self.group.order))
-        return min(room, self.bound.extra(negs, last, run))
+        return (self.group.order - 1) - self.stack[-1].bit_count()
 
 
 class ReachState:
@@ -623,14 +559,22 @@ class ReachState:
     exactly when slot -g of the parent holds a length L - 1 with L
     forbidden, so try_push reads that slot first and translates only the
     pushes it accepts.  Covers both the short-zero-sum and the
-    exact-exp-length detectors.  With ``last``, slack() is the
-    multiplicity bound: h^L is a zero-sum of length L when ord(h) divides
-    L, so the least such forbidden L caps h at L - 1 copies (ord(h) - 1
-    for the short detector, exp(G) - 1 for the exp-length one).
+    exact-exp-length detectors.
+
+    With ``last``, slack() is the multiplicity bound of ``dfs_run``: h^L
+    is a zero-sum of length L when ord(h) divides L, so the least such
+    forbidden L caps h at ``cap[h]`` = L - 1 copies (ord(h) - 1 for the
+    short detector, exp(G) - 1 for the exp-length one).  Adding ``keep``
+    to the slots that meet ``refused`` (masked by ``block``) sets their
+    top bits, so ``((table & block) + keep) & tops`` marks every blocked h
+    at ``top[h]``, the top bit of slot -h; ``after[last]`` pairs each
+    nonzero cap c with the top bits of the h > last whose cap is c.  The
+    bound is built on the first such query, in O(|G|) mask steps per cap,
+    and ``after`` is None when some cap is unbounded.
     """
 
     __slots__ = ("group", "width", "keep", "forbidden", "refused", "shift", "stack",
-                 "bound")
+                 "block", "tops", "top", "cap", "after")
 
     def __init__(self, group: Group, max_len: int, forbidden: int):
         self.group = group
@@ -640,7 +584,7 @@ class ReachState:
         self.refused = (forbidden >> 1) & ((1 << max_len) - 1)
         self.shift = [x * self.width for x in group.neg_table()]
         self.stack = [1]
-        self.bound = None
+        self.top = None                 # the bound's fields, built on demand
 
     def try_push(self, g: int) -> bool:
         table = self.stack[-1]
@@ -659,13 +603,36 @@ class ReachState:
     def slack(self, last=None, run=0):
         if last is None:
             return None
-        if self.bound is None:
-            # a push of h is refused when slot -h holds a length L - 1, L forbidden
-            self.bound = _MultiplicityBound(self.group, self.width - 1, self.refused,
-                                            self._cap, self.group.neg_table())
-        bound = self.bound
-        blocked = ((self.stack[-1] & bound.block) + bound.carry) & bound.tops
-        return bound.extra(blocked, last, run)
+        if self.top is None:
+            self._build_bound()
+        if self.after is None:
+            return None
+        free = ~(((self.stack[-1] & self.block) + self.keep) & self.tops)
+        extra = 0
+        for c, m in self.after[last]:
+            extra += c * (m & free).bit_count()
+        if (free >> self.top[last]) & 1:
+            extra += self.cap[last] - run
+        return extra
+
+    def _build_bound(self):
+        n, width = self.group.order, self.width
+        ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
+        self.block = self.refused * ones
+        self.tops = ones << (width - 1)
+        self.top = [shift + width - 1 for shift in self.shift]
+        orders = [self.group.order_of_index(h) for h in range(n)]
+        caps = {d: self._cap(d) for d in set(orders)}
+        if None in caps.values():
+            self.after = None
+            return
+        self.cap = [caps[d] for d in orders]
+        classes = dict.fromkeys(sorted(set(self.cap) - {0}), 0)
+        self.after = [None] * n
+        for h in reversed(range(n)):
+            self.after[h] = tuple(classes.items())
+            if self.cap[h]:
+                classes[self.cap[h]] |= 1 << self.top[h]
 
     def _cap(self, order):
         """One less than the least forbidden length that ``order`` divides."""

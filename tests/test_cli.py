@@ -77,6 +77,7 @@ def test_checkpoint_resume_round_trip(capsys, tmp_path):
     assert resumed["value"] == full["value"]
     assert resumed["witness"] == full["witness"]
     assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
+    assert resumed["stats"]["slack_prunes"] == full["stats"]["slack_prunes"]
 
 
 def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
@@ -99,6 +100,7 @@ def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
     assert resumed["value"] == full["value"] == 9
     assert resumed["witness"] == full["witness"]
     assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
+    assert resumed["stats"]["slack_prunes"] == full["stats"]["slack_prunes"]
 
 
 def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path):
@@ -122,6 +124,7 @@ def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path)
     assert resumed["value"] == full["value"] == 10
     assert resumed["witness"] == full["witness"]
     assert resumed["stats"]["nodes"] == full["stats"]["nodes"]
+    assert resumed["stats"]["slack_prunes"] == full["stats"]["slack_prunes"]
 
 
 def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
@@ -130,8 +133,8 @@ def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
                        "--budget-nodes", "2000", "--checkpoint", str(ck)], capsys)
     assert code == 2
     stored = json.loads(ck.read_text())
-    assert stored["job"]["version"] == 6
-    stored["job"]["version"] = 5
+    assert stored["job"]["version"] == 7
+    stored["job"]["version"] = 6
     ck.write_text(json.dumps(stored))
     code = main(["constant", "--group", "2,2,6", "--kind", "eta",
                  "--checkpoint", str(ck), "--resume"])
@@ -367,6 +370,7 @@ def test_usage_errors_exit_64():
     ["constant", "--group", "2,4", "--kind", "d", "--budget-secs", "-0.5"],
     ["constant", "--group", "2,4", "--kind", "d", "--threads", "0"],
     ["report", "--budget-nodes", "-3"],
+    ["witness", "--group", "2,4", "--family", "eta", "--s", "0"],
 ], ids=" ".join)
 def test_malformed_numbers_exit_64(args, capsys):
     try:

@@ -335,7 +335,7 @@ def test_result_json_shape():
 # bound, the unpruned ones the bare search
 PINNED_SEARCHES = [
     ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 1654),
-    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 4099),
+    ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 4173),
     ([2, 2, 2], "dk", 2, True, 7, [1, 2, 3, 4, 5, 6], 52),
     ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 174),
     ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 494),
