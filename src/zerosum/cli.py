@@ -45,8 +45,9 @@ SCHEMA_VERSION = 1
 # adds the lex-least prefix gates and run caps (rebuilt on resume by
 # replaying the path); version 6 skips the pushes the D state refuses, so
 # D node counts fall; version 7 drops the multiplicity bound of D, which
-# prunes by its subsum count alone.
-CHECKPOINT_VERSION = 7
+# prunes by its subsum count alone; version 8 skips the pushes the eta and
+# s states refuse, so their node counts fall.
+CHECKPOINT_VERSION = 8
 
 
 class _Parser(argparse.ArgumentParser):

@@ -371,21 +371,23 @@ class Group:
             self._add_rows[g] = row
         return row
 
-    def mask_shifts(self, g: int, width: int = 1) -> tuple:
+    def mask_shifts(self, g: int, width: int = 1, rows: int = 1) -> tuple:
         """Cached masked shifts that translate a slot bitmask by g.
 
-        The mask holds one slot of ``width`` bits per element, slot x at
-        bits x*width onwards; width 1 is an element bitmask.  One
-        ``(lo, up, hi, down)`` per nonzero coordinate c of g, with stride
-        s and factor f: ``lo`` holds the slots whose coordinate is below
-        f - c, which move up by c*s slots, and ``hi`` the rest, which wrap
-        down by (f - c)*s slots.  Applying them in turn is
-        ``translate_mask``.
+        The mask holds ``rows`` rows of one slot of ``width`` bits per
+        element, slot x of row r at bits (r*|G| + x)*width onwards; width
+        and rows 1 is an element bitmask.  One ``(lo, up, hi, down)`` per
+        nonzero coordinate c of g, with stride s and factor f: ``lo``
+        holds the slots whose coordinate is below f - c, which move up by
+        c*s slots, and ``hi`` the rest, which wrap down by (f - c)*s
+        slots.  f*s divides |G|, so the masks, of period f*s slots, repeat
+        across the rows and no slot leaves its row.  Applying them in turn
+        is ``translate_mask``.
         """
-        key = g if width == 1 else (g, width)
+        key = g if width == rows == 1 else (g, width, rows)
         shifts = self._mask_shifts.get(key)
         if shifts is None:
-            full = (1 << (self.order * width)) - 1
+            full = (1 << (self.order * width * rows)) - 1
             shifts = []
             for f, s in zip(self.invariant_factors, self._strides):
                 c = (g // s) % f
@@ -398,15 +400,17 @@ class Group:
             self._mask_shifts[key] = shifts
         return shifts
 
-    def translate_mask(self, mask: int, g: int, width: int = 1) -> int:
-        """The slot bitmask with slot x + g holding slot x of ``mask``.
+    def translate_mask(self, mask: int, g: int, width: int = 1, rows: int = 1) -> int:
+        """The slot bitmask with slot x + g of each row holding slot x of
+        that row of ``mask``.
 
-        With width 1 this is the element bitmask {x + g : bit x of mask
-        set}.  Every subsum update of the package goes through here.
+        With width and rows 1 this is the element bitmask {x + g : bit x
+        of mask set}.  Every subsum update of the package goes through
+        here.
         """
-        shifts = self._mask_shifts.get(g if width == 1 else (g, width))
+        shifts = self._mask_shifts.get(g if width == rows == 1 else (g, width, rows))
         if shifts is None:
-            shifts = self.mask_shifts(g, width)
+            shifts = self.mask_shifts(g, width, rows)
         for lo, up, hi, down in shifts:
             mask = ((mask & lo) << up) | ((mask & hi) >> down)
         return mask

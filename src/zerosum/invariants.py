@@ -260,17 +260,12 @@ class _DkState:
 
     def _level_shifts(self, h):
         """Per table t and coordinate i <= t, the masked shifts that add h
-        to s_i: ``Group.mask_shifts(h, |G|^i)`` with its masks repeated
-        over the higher coordinates of G^(t+1)."""
+        to s_i: ``Group.mask_shifts(h, |G|^i)`` over one row per value of
+        the higher coordinates of G^(t+1)."""
         n = self.group.order
         shifts = []
         for t in range(self.levels):
-            full = (1 << n ** (t + 1)) - 1
-            level = []
-            for i in range(t + 1):
-                rep = full // ((1 << n ** (i + 1)) - 1)
-                level.append(tuple((lo * rep, up, hi * rep, down) for lo, up, hi, down
-                                   in self.group.mask_shifts(h, n ** i)))
+            level = (self.group.mask_shifts(h, n ** i, rows=n ** (t - i)) for i in range(t + 1))
             shifts.append(tuple(c for c in level if c))
         self.shifts[h] = shifts = tuple(shifts)
         return shifts

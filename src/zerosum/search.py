@@ -1,14 +1,15 @@
 """Shared DFS substrate for the invariant searches and enumerations.
 
 Sequences are explored as non-decreasing index tuples (one representative
-per multiset).  A search state object owns the incremental pruning data,
-its depth bound and the mask of the pushes it would accept; ``dfs_run``
-owns candidate order, optional automorphism-orbit pruning of maximise
-searches (the first two positions, and every later position through a
-chain of pointwise stabilisers, with the gates and run caps of lex-least
-prefixes), the cut of subtrees that the depth bound shows cannot beat the
-best or reach the target length, node/time budgets, and resumable
-checkpoints (the serialized cursor stack).
+per multiset).  A search state object owns the incremental pruning data
+(a negated subsum bitmask for D, a negated row-major reach table for eta
+and s), its depth bound and the mask of the pushes it would accept;
+``dfs_run`` owns candidate order, optional automorphism-orbit pruning of
+maximise searches (the first two positions, and every later position
+through a chain of pointwise stabilisers, with the gates and run caps of
+lex-least prefixes), the cut of subtrees that the depth bound shows
+cannot beat the best or reach the target length, node/time budgets, and
+resumable checkpoints (the serialized cursor stack).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import random
 import time
 
-from .engine import _layout
 from .errors import InvalidInputError
 from .groups import Group, record
 
@@ -362,11 +362,13 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 
     Under orbit pruning every frame's candidates are also ANDed with
     ``state.open()``, the bitmask of the pushes the state would accept
-    (None: no filter).  A push it would refuse is never tried, so
-    ``nodes`` counts only the pushes the state left open; the accepted
-    pushes, their order, the value, the witness and the slack prunes are
-    those of the run without the mask.  Without orbit pruning every push
-    is tried, which keeps the reference tree and its node counts.
+    (None: no filter).  The D, eta and s states read it off their subsum
+    tables; the D_k state gives None.  A push it would refuse is never
+    tried, so ``nodes`` counts only the pushes the state left open; the
+    accepted pushes, their order, the value, the witness and the slack
+    prunes are those of the run without the mask.  Without orbit pruning
+    every push is tried, which keeps the reference tree and its node
+    counts, and enumerate mode tries every push too.
     """
     n = group.order
     maximize = target_length is None
@@ -552,91 +554,109 @@ class DavenportState:
 class ReachState:
     """Prefixes carrying a length-bounded subsum table.
 
-    Each stack entry is a packed reach table (``engine._layout``), and a
-    push adds one copy of g with one translate.  ``forbidden`` is a
-    bitmask over lengths, without length 0; a push creating any forbidden
-    length at element 0, the table's lowest slot, is rejected.  It does so
-    exactly when slot -g of the parent holds a length L - 1 with L
-    forbidden, so try_push reads that slot first and translates only the
-    pushes it accepts.  Covers both the short-zero-sum and the
-    exact-exp-length detectors.
+    Each stack entry is a negated reach table in rows: bit L*|G| + x is
+    set when some sub-multiset of length L <= ``max_len`` sums to -x.  A
+    push of g makes every length one longer and adds g, which moves x to
+    x - g: ``T | translate((T & keep) << |G|, -g)``, one translate of
+    every row at once, with ``keep`` dropping the top row.  ``forbidden``
+    is a bitmask over lengths, without length 0; a push of g creates a
+    forbidden length L at 0 exactly when bit g of row L - 1 is set.  So
+    the pushes left open are the complement of the OR of those rows (one
+    row for the exact-exp-length detector of s, rows 0 .. exp(G) - 1 for
+    the short-zero-sum one of eta), folded onto row 0 in halving steps
+    once per table and kept on ``opens``, parallel to the stack; try_push
+    refuses from it before it translates.
 
     With ``last``, slack() is the multiplicity bound of ``dfs_run``: h^L
     is a zero-sum of length L when ord(h) divides L, so the least such
     forbidden L caps h at ``cap[h]`` = L - 1 copies (ord(h) - 1 for the
-    short detector, exp(G) - 1 for the exp-length one).  Adding ``keep``
-    to the slots that meet ``refused`` (masked by ``block``) sets their
-    top bits, so ``((table & block) + keep) & tops`` marks every blocked h
-    at ``top[h]``, the top bit of slot -h; ``after[last]`` pairs each
-    nonzero cap c with the top bits of the h > last whose cap is c.  The
-    bound is built on the first such query, in O(|G|) mask steps per cap,
-    and ``after`` is None when some cap is unbounded.
+    short detector, exp(G) - 1 for the exp-length one).  ``after[last]``
+    pairs each nonzero cap c with the mask of the h > last whose cap is
+    c, and the bound counts those left open.  The bound is built on the
+    first such query, in O(|G|) steps, and ``after`` is None when some
+    cap is unbounded.
     """
 
-    __slots__ = ("group", "width", "keep", "forbidden", "refused", "shift", "stack",
-                 "block", "tops", "top", "cap", "after")
+    __slots__ = ("group", "order", "rows", "keep", "full", "forbidden", "refused",
+                 "lowest", "folds", "neg", "stack", "opens", "cap", "after")
 
     def __init__(self, group: Group, max_len: int, forbidden: int):
+        n = group.order
         self.group = group
-        self.width, self.keep = _layout(group.order, max_len)
+        self.order = n
+        self.rows = max_len + 1
+        self.keep = (1 << (n * max_len)) - 1     # every row but the top
+        self.full = (1 << n) - 1
         self.forbidden = forbidden
-        # the lengths L - 1 < max_len, L forbidden, that refuse a push
-        self.refused = (forbidden >> 1) & ((1 << max_len) - 1)
-        self.shift = [x * self.width for x in group.neg_table()]
+        # the rows L - 1 < max_len, L forbidden, whose bit g refuses a push
+        # of g; shifted down by ``lowest`` and folded by ``folds`` they OR
+        # onto row 0
+        rows = [L - 1 for L in range(1, max_len + 1) if (forbidden >> L) & 1]
+        lo, hi = (rows[0], rows[-1]) if rows else (0, 0)
+        self.refused = sum(self.full << (r * n) for r in rows)
+        self.lowest = lo * n
+        self.folds = [n << i for i in range((hi - lo).bit_length())]
+        self.neg = group.neg_table()
         self.stack = [1]
-        self.top = None                 # the bound's fields, built on demand
+        # the empty table holds length 0 at 0 alone: it refuses 0 when row
+        # 0 is refused
+        self.opens = [self.full & ~(self.refused & 1)]
+        self.cap = None                    # the bound's fields, built on demand
 
     def try_push(self, g: int) -> bool:
-        table = self.stack[-1]
-        if (table >> self.shift[g]) & self.refused:
+        if not (self.opens[-1] >> g) & 1:
             return False
-        self.stack.append(table | self.group.translate_mask((table & self.keep) << 1, g,
-                                                            self.width))
+        table = self.stack[-1]
+        table |= self.group.translate_mask((table & self.keep) << self.order, self.neg[g],
+                                           1, self.rows)
+        self.stack.append(table)
+        refused = (table & self.refused) >> self.lowest
+        for fold in self.folds:
+            refused |= refused >> fold
+        self.opens.append(self.full & ~refused)
         return True
 
     def pop(self, g: int):
         self.stack.pop()
+        self.opens.pop()
 
     def open(self):
-        return None
+        """Bitmask of the g that try_push would accept."""
+        return self.opens[-1]
 
     def slack(self, last=None, run=0):
         if last is None:
             return None
-        if self.top is None:
+        if self.cap is None:
             self._build_bound()
         if self.after is None:
             return None
-        free = ~(((self.stack[-1] & self.block) + self.keep) & self.tops)
+        free = self.opens[-1]
         extra = 0
         for c, m in self.after[last]:
             extra += c * (m & free).bit_count()
-        if (free >> self.top[last]) & 1:
+        if (free >> last) & 1:
             extra += self.cap[last] - run
         return extra
 
     def _build_bound(self):
-        n, width = self.group.order, self.width
-        ones = ((1 << (n * width)) - 1) // ((1 << width) - 1)
-        self.block = self.refused * ones
-        self.tops = ones << (width - 1)
-        self.top = [shift + width - 1 for shift in self.shift]
+        n = self.order
         orders = [self.group.order_of_index(h) for h in range(n)]
         caps = {d: self._cap(d) for d in set(orders)}
+        self.cap = [caps[d] for d in orders]
         if None in caps.values():
             self.after = None
             return
-        self.cap = [caps[d] for d in orders]
         classes = dict.fromkeys(sorted(set(self.cap) - {0}), 0)
         self.after = [None] * n
         for h in reversed(range(n)):
             self.after[h] = tuple(classes.items())
             if self.cap[h]:
-                classes[self.cap[h]] |= 1 << self.top[h]
+                classes[self.cap[h]] |= 1 << h
 
     def _cap(self, order):
         """One less than the least forbidden length that ``order`` divides."""
-        multiples = range(order, self.width, order)
+        multiples = range(order, self.rows, order)
         return next((L - 1 for L in multiples if (self.forbidden >> L) & 1), None)
 
 

@@ -34,6 +34,19 @@ def unpack_table(table, order, max_len):
             for e in range(order)}
 
 
+def unpack_negated_rows(table, group, max_len):
+    """Element -> set of lengths of a negated row-major reach table, read
+    bit by bit from its layout: bit L*|G| + x for length L at element -x,
+    with -x the y such that add_index(x, y) is 0."""
+    n = group.order
+    assert table >> (n * (max_len + 1)) == 0
+    out = {e: set() for e in range(n)}
+    for x in range(n):
+        minus = next(y for y in range(n) if group.add_index(x, y) == 0)
+        out[minus] = {L for L in range(max_len + 1) if (table >> (L * n + x)) & 1}
+    return out
+
+
 def brute_minimal_zero_sums(seq):
     """All minimal zero-sum sub-multisets as multiplicity tuples."""
     group = seq.group

@@ -111,11 +111,11 @@ def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path)
     full = json.loads(out)["result"]
 
     ck = tmp_path / "ck.json"
-    code, out = run_cli(args + ["--budget-nodes", "400", "--checkpoint", str(ck)],
+    code, out = run_cli(args + ["--budget-nodes", "100", "--checkpoint", str(ck)],
                         capsys)
     rounds = 0
     while code == 2:
-        code, out = run_cli(args + ["--budget-nodes", "400", "--checkpoint", str(ck),
+        code, out = run_cli(args + ["--budget-nodes", "100", "--checkpoint", str(ck),
                                     "--resume"], capsys)
         rounds += 1
         assert rounds < 40
@@ -130,11 +130,11 @@ def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path)
 def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
     ck = tmp_path / "ck.json"
     code, _ = run_cli(["constant", "--group", "2,2,6", "--kind", "eta",
-                       "--budget-nodes", "2000", "--checkpoint", str(ck)], capsys)
+                       "--budget-nodes", "300", "--checkpoint", str(ck)], capsys)
     assert code == 2
     stored = json.loads(ck.read_text())
-    assert stored["job"]["version"] == 7
-    stored["job"]["version"] = 6
+    assert stored["job"]["version"] == 8
+    stored["job"]["version"] = 7
     ck.write_text(json.dumps(stored))
     code = main(["constant", "--group", "2,2,6", "--kind", "eta",
                  "--checkpoint", str(ck), "--resume"])
@@ -153,7 +153,7 @@ def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
     # exit 1 would claim a falsified verification
     ck = tmp_path / "ck.json"
     args = ["constant", "--group", "2,2,4", "--kind", "eta", "--checkpoint", str(ck)]
-    code, _ = run_cli(args + ["--budget-nodes", "100"], capsys)
+    code, _ = run_cli(args + ["--budget-nodes", "30"], capsys)
     assert code == 2
     ck.write_text(corrupt(json.loads(ck.read_text())))
     code = main(args + ["--resume"])

@@ -262,26 +262,29 @@ def test_canonical_invariant_factors_direct():
 @pytest.mark.parametrize("factors", [[8], [2, 6], [2, 2, 4], [4, 4, 4], [2, 2, 2, 8]],
                          ids=str)
 def test_mask_shifts_translate_like_add_row(factors):
-    """Slot x + g of the translate holds slot x, for slots of 1, 3 and 7
-    bits, with x + g from add_index."""
+    """Slot x + g of each row of the translate holds slot x of that row,
+    for slots of 1, 3 and 7 bits in 1 or 3 rows, with x + g from
+    add_index."""
     group = make_group(factors)
     n = group.order
     rng = random.Random(n)
-    for width in (1, 3, 7):
+    for width, rows in itertools.product((1, 3, 7), (1, 3)):
         full = (1 << width) - 1
         for g in range(n):
             for _ in range(4):
-                mask = rng.getrandbits(n * width)
+                mask = rng.getrandbits(n * width * rows)
                 want = 0
-                for x in range(n):
-                    want |= ((mask >> (x * width)) & full) << (group.add_index(x, g) * width)
+                for r in range(rows):
+                    for x in range(n):
+                        slot = (mask >> ((r * n + x) * width)) & full
+                        want |= slot << ((r * n + group.add_index(x, g)) * width)
                 got = mask
-                for lo, up, hi, down in group.mask_shifts(g, width):
+                for lo, up, hi, down in group.mask_shifts(g, width, rows):
                     got = ((got & lo) << up) | ((got & hi) >> down)
                 assert got == want
-                assert group.translate_mask(mask, g, width) == want
-        assert group.mask_shifts(0, width) == ()
-        assert group.mask_shifts(1, width) is group.mask_shifts(1, width)
+                assert group.translate_mask(mask, g, width, rows) == want
+        assert group.mask_shifts(0, width, rows) == ()
+        assert group.mask_shifts(1, width, rows) is group.mask_shifts(1, width, rows)
 
 
 def test_records_construct_compare_and_hash_as_declared():

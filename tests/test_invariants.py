@@ -341,8 +341,8 @@ PINNED_SEARCHES = [
     ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 494),
     ([2, 2, 4], "dk", 2, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 6572),
     ([6], "dk", 3, True, 18, [1] * 17, 1802),
-    ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 2369),
-    ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 488),
+    ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 573),
+    ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 188),
     ([2, 2, 2], "dk", 2, False, 7, [1, 2, 3, 4, 5, 6], 1235),
     ([2, 2, 2], "dk", 3, False, 9, [1, 1, 1, 2, 3, 4, 5, 6], 5971),
     ([2, 2, 4], "eta", None, False, 8, [1, 2, 4, 4, 4, 5, 6], 15214),
@@ -384,17 +384,25 @@ class _Unmasked:
         return self.state.slack(last, run)
 
 
-@pytest.mark.parametrize("factors", [case[0] for case in PINNED_SEARCHES
-                                     if case[1] == "d" and case[3]], ids=str)
-def test_open_mask_skips_exactly_the_refused_pushes(factors):
-    """The orbit-pruned D searches find the same value, witness and slack
-    prunes with and without the state's open() mask, and with it every
-    push tried is accepted: its nodes are the unmasked run's accepted
-    pushes."""
+MASKED_SEARCHES = [(case[0], case[1]) for case in PINNED_SEARCHES
+                   if case[1] != "dk" and case[3]] + [([4, 4], "s"), ([2, 6], "s"),
+                                                      ([2, 4, 4], "eta")]
+
+
+@pytest.mark.parametrize("factors,kind", MASKED_SEARCHES,
+                         ids=[str(f) if kind == "d" else f"{f}-{kind}"
+                              for f, kind in MASKED_SEARCHES])
+def test_open_mask_skips_exactly_the_refused_pushes(factors, kind):
+    """The orbit-pruned D, eta and s searches find the same value, witness
+    and slack prunes with and without the state's open() mask, and with
+    it every push tried is accepted: its nodes are the unmasked run's
+    accepted pushes."""
     group = make_group(factors)
-    masked = dfs_run(group, search_state(group, "d"), orbit_pruning=True)
-    wrapped = _Unmasked(search_state(group, "d"))
-    unmasked = dfs_run(group, wrapped, orbit_pruning=True)
+    # as compute() runs them: s pins 0 first and prunes by translations
+    anchor = {"restrict_prefix": [0], "translations": True} if kind == "s" else {}
+    masked = dfs_run(group, search_state(group, kind), orbit_pruning=True, **anchor)
+    wrapped = _Unmasked(search_state(group, kind))
+    unmasked = dfs_run(group, wrapped, orbit_pruning=True, **anchor)
     assert (masked.best, masked.witness, masked.stats.slack_prunes) == \
         (unmasked.best, unmasked.witness, unmasked.stats.slack_prunes)
     assert masked.stats.nodes == wrapped.accepted < unmasked.stats.nodes

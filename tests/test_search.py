@@ -15,6 +15,7 @@ import pytest
 from zerosum import InvalidInputError, Sequence, make_group
 from zerosum.search import (
     Budget,
+    ReachState,
     canonical_first_two,
     dfs_run,
     exact_length_state,
@@ -23,7 +24,7 @@ from zerosum.search import (
 )
 from zerosum.invariants import search_state
 
-from conftest import brute_subsums, unpack_table
+from conftest import brute_subsums, unpack_negated_rows
 
 BRUTE_FORCE_GROUPS = [
     [2], [3], [4], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8], [3, 6],
@@ -231,16 +232,18 @@ def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
 
 @pytest.mark.parametrize("factors", [[7], [2, 6], [4, 4], [2, 2, 4], [2, 2, 2, 2]], ids=str)
 def test_reach_state_tables_match_brute_subsums(factors):
-    """Every table on the stack of a short-zero-sum or exact-length state
-    holds the subsums of its prefix up to max_len, and a push is refused
-    exactly when it would create a forbidden length at 0."""
+    """Every table on the stack of a short-zero-sum, exact-length or
+    gapped (lengths 2 and 4) state holds the subsums of its prefix up to
+    max_len, and a push is refused exactly when it would create a
+    forbidden length at 0."""
     group = make_group(factors)
     exp = group.exponent
     rng = random.Random(group.order)
     for make, max_len, forbidden in (
             (short_zero_sum_state, exp, set(range(1, exp + 1))),
             (lambda g: exact_length_state(g, exp), exp, {exp}),
-            (lambda g: exact_length_state(g, 3), 3, {3})):
+            (lambda g: exact_length_state(g, 3), 3, {3}),
+            (lambda g: ReachState(g, 4, 0b10100), 4, {2, 4})):
         for _ in range(8):
             state = make(group)
             prefix = []
@@ -253,7 +256,7 @@ def test_reach_state_tables_match_brute_subsums(factors):
                 assert accepted == (not clipped[0] & forbidden)
                 if accepted:
                     prefix.append(g)
-                    assert unpack_table(state.stack[-1], group.order, max_len) == clipped
+                    assert unpack_negated_rows(state.stack[-1], group, max_len) == clipped
             while prefix:
                 state.pop(prefix.pop())
             assert state.stack == [1]
@@ -291,44 +294,37 @@ def walk_valid_prefixes(group, kind, seed, visit):
             prefix.append(h)
 
 
+def visit_open_mask(state, prefix, keeps):
+    """The state's open() is exactly ``keeps``, try_push refuses every
+    other h, and trying them all leaves open() as it was."""
+    n = state.group.order
+    mask = state.open()
+    assert mask >> n == 0
+    assert [h for h in range(n) if (mask >> h) & 1] == keeps, prefix
+    for h in range(n):
+        accepted = state.try_push(h)
+        assert accepted == (h in keeps), (prefix, h)
+        if accepted:
+            state.pop(h)
+    assert state.open() == mask
+
+
 @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=str)
 def test_davenport_open_mask_matches_brute_subsums(factors):
     """On random zero-sum-free prefixes, the D state's open() is exactly
     the set of h for which prefix + h stays zero-sum-free, and try_push
     refuses every other h."""
-    group = make_group(factors)
-    n = group.order
-
-    def visit(state, prefix, keeps):
-        mask = state.open()
-        assert mask >> n == 0
-        assert [h for h in range(n) if (mask >> h) & 1] == keeps, prefix
-        for h in range(n):
-            accepted = state.try_push(h)
-            assert accepted == (h in keeps), (prefix, h)
-            if accepted:
-                state.pop(h)
-
-    walk_valid_prefixes(group, "d", "open", visit)
+    walk_valid_prefixes(make_group(factors), "d", "open", visit_open_mask)
 
 
 @pytest.mark.parametrize("kind", ["eta", "s"])
 @pytest.mark.parametrize("factors", ORACLE_GROUPS, ids=str)
 def test_reach_state_refuses_exactly_the_forbidden_zero_sums(factors, kind):
     """On random prefixes without a short (eta) or exp-length (s)
-    zero-sum, try_push refuses h exactly when prefix + h has one, by
-    brute-force subsums; open() filters nothing."""
-    group = make_group(factors)
-
-    def visit(state, prefix, keeps):
-        assert state.open() is None
-        for h in range(group.order):
-            accepted = state.try_push(h)
-            assert accepted == (h in keeps), (prefix, h)
-            if accepted:
-                state.pop(h)
-
-    walk_valid_prefixes(group, kind, "refuse", visit)
+    zero-sum, the state's open() is exactly the set of h for which
+    prefix + h still has none, by brute-force subsums, and try_push
+    refuses every other h."""
+    walk_valid_prefixes(make_group(factors), kind, "refuse", visit_open_mask)
 
 
 def brute_extension(group, kind):
