@@ -1,15 +1,17 @@
 """Decision procedures over subsequence sums.
 
-The workhorse is a bounded-multiplicity subset-sum table: for every group
-element it records the set of subsequence lengths realizing that element
-as a subsum, packed into one int (``_layout``); each copy of an element
-is added by one ``Group.translate_mask``.  Every detector (non-empty
-zero-sum, short zero-sum, fixed length zero-sum) reduces to one query
-against that table.  On top of it sit minimal zero-sum enumeration, an
-exact branch-and-bound count of disjoint zero-sum subsequences, the
-quotient-projection partition used by the inductive method, and the
-constructive extraction of a zero-sum of length exp(G) from a long
-sequence.
+The workhorse is a bounded-multiplicity subset-sum table, packed into one
+int in rows: bit L*|G| + e is set when some sub-multiset of length L sums
+to e, for L up to a length bound max_len.  One copy of an element h makes
+every length one longer and moves every sum by h, which ``reach_push``
+does for all rows at once with one ``Group.translate_mask``; the search
+states of ``search`` push the same way.  Every detector (non-empty
+zero-sum, short zero-sum, fixed length zero-sum) reduces to one AND or
+one bit test against that table.  On top of it sit minimal zero-sum
+enumeration, an exact branch-and-bound count of disjoint zero-sum
+subsequences, the quotient-projection partition used by the inductive
+method, and the constructive extraction of a zero-sum of length exp(G)
+from a long sequence.
 
 All operations are pure functions of their inputs.
 """
@@ -25,35 +27,22 @@ from .sequences import Sequence
 MINIMAL_ENUM_MAX_LEN = 64
 # decisions the disjoint-count memo keeps; later ones are not stored
 DISJOINT_MEMO_MAX_ENTRIES = 1 << 22
-# bits |G|^(count+1) of the D_k part-sum reach table; a larger count
-# decides its lifts by lifts_disjoint_count
-DK_REACH_MAX_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Reach table
 
+def reach_push(group: Group, table: int, h: int, keep: int, rows: int) -> int:
+    """The table after one more copy of h: each row L of ``table`` also
+    lands, translated by h, on row L + 1.  ``keep`` masks every row but
+    the top one of the ``rows`` rows, whose lengths would pass the bound."""
+    return table | group.translate_mask((table & keep) << group.order, h, 1, rows)
+
+
 @lru_cache(maxsize=None)
-def _layout(order: int, max_len: int):
-    """Slot width and length-step mask of a packed reach table.
-
-    A packed table is one int with a slot of width = max_len + 1 bits per
-    element: bit e*width + L is set when some sub-multiset of length L
-    sums to e.  ``keep`` clears the top length bit of every slot, so
-    ``(T & keep) << 1`` makes every length one longer without leaving its
-    slot, and one copy of g turns T into
-    ``T | translate_mask((T & keep) << 1, g, width)``.
-    """
-    width = max_len + 1
-    ones = ((1 << (order * width)) - 1) // ((1 << width) - 1)
-    return width, ((1 << max_len) - 1) * ones
-
-
-def _slot(table: int, e: int, max_len: int) -> int:
-    """Length bitmask of element e in a packed table: bit L is set when
-    some sub-multiset of length L sums to e."""
-    width = max_len + 1
-    return (table >> (e * width)) & ((1 << width) - 1)
+def _zero_column(order: int, max_len: int) -> int:
+    """Mask of element 0 in rows 1 .. max_len: the non-empty zero-sums."""
+    return sum(1 << (L * order) for L in range(1, max_len + 1))
 
 
 def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Group = None):
@@ -66,15 +55,15 @@ def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Grou
     its element, since every later copy would add nothing too.
     """
     target = image_group if hom is not None else group
-    width, keep = _layout(target.order, max_len)
-    translate = target.translate_mask
+    keep = (1 << (target.order * max_len)) - 1
+    rows = max_len + 1
     support = [g for g, v in enumerate(mult) if v]
     table = 1
     tables = [table]
     for g in reversed(support):
         img = hom[g] if hom is not None else g
         for _ in range(mult[g]):
-            new = table | translate((table & keep) << 1, img, width)
+            new = reach_push(target, table, img, keep, rows)
             if new == table:
                 break
             table = new
@@ -84,48 +73,54 @@ def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Grou
 
 
 def _reach_masks(group: Group, mult, max_len: int, hom=None, image_group: Group = None) -> int:
-    """Packed reach table of the whole multiset (see ``_layout``)."""
+    """Packed reach table of the whole multiset (see the module docstring)."""
     return _suffix_tables(group, mult, max_len, hom, image_group)[1][0]
 
 
 @record(frozen=True)
 class ReachTable:
-    """Subsum reachability: which lengths realize which element."""
+    """Subsum reachability: which lengths realize which element.
+
+    ``table`` is the packed table of the module docstring, with rows 0 ..
+    ``max_len``."""
 
     group: Group
     max_len: int
-    masks: tuple
+    table: int
+
+    def row(self, length: int) -> int:
+        """Bitmask of the element indices realizable with exact length."""
+        if length < 0 or length > self.max_len:
+            return 0
+        return (self.table >> (length * self.group.order)) & ((1 << self.group.order) - 1)
 
     def has(self, element, length: int) -> bool:
-        idx = self.group.element(element).index
-        if length < 0 or length > self.max_len:
-            return False
-        return bool((self.masks[idx] >> length) & 1)
+        return bool((self.row(length) >> self.group.element(element).index) & 1)
 
     def lengths(self, element) -> list:
         idx = self.group.element(element).index
-        m = self.masks[idx]
-        return [L for L in range(self.max_len + 1) if (m >> L) & 1]
+        return [L for L in range(self.max_len + 1) if (self.row(L) >> idx) & 1]
 
     def sums_of_length(self, length: int) -> set:
         """Indices of elements realizable by a sub-multiset of exact length."""
-        if length < 0 or length > self.max_len:
-            return set()
-        bit = 1 << length
-        return {e for e, m in enumerate(self.masks) if m & bit}
+        return _bits(self.row(length))
 
     def restricted_sums(self, length: int) -> set:
         """Indices realizable by a non-empty sub-multiset of length <= given."""
-        window = ((1 << (min(length, self.max_len) + 1)) - 1) & ~1
-        return {e for e, m in enumerate(self.masks) if m & window}
+        mask = 0
+        for L in range(1, min(length, self.max_len) + 1):
+            mask |= self.row(L)
+        return _bits(mask)
+
+
+def _bits(mask: int) -> set:
+    return {e for e in range(mask.bit_length()) if (mask >> e) & 1}
 
 
 def reach_table(seq: Sequence, max_len: int) -> ReachTable:
     if max_len < 0:
         raise InvalidInputError("negative length bound")
-    table = _reach_masks(seq.group, seq.mult, max_len)
-    masks = tuple(_slot(table, e, max_len) for e in range(seq.group.order))
-    return ReachTable(seq.group, max_len, masks)
+    return ReachTable(seq.group, max_len, _reach_masks(seq.group, seq.mult, max_len))
 
 
 def restricted_sums(seq: Sequence, length: int) -> set:
@@ -143,13 +138,13 @@ def sums_of_length(seq: Sequence, length: int) -> set:
 
 def has_nonempty_zero_sum(seq: Sequence) -> bool:
     table = _reach_masks(seq.group, seq.mult, len(seq))
-    return bool(_slot(table, 0, len(seq)) & ~1)
+    return bool(table & _zero_column(seq.group.order, len(seq)))
 
 
 def has_short_zero_sum(seq: Sequence) -> bool:
     bound = min(seq.group.exponent, len(seq))
     table = _reach_masks(seq.group, seq.mult, bound)
-    return bool(_slot(table, 0, bound) & ~1)
+    return bool(table & _zero_column(seq.group.order, bound))
 
 
 def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
@@ -158,7 +153,7 @@ def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
     if k < 0 or k > len(seq):
         return False
     table = _reach_masks(seq.group, seq.mult, k)
-    return bool((_slot(table, 0, k) >> k) & 1)
+    return bool((table >> (k * seq.group.order)) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +167,18 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int,
     Greedy on the smallest support element with a suffix-feasibility table,
     so the result is deterministic.
     """
+    target_group = image_group if hom is not None else group
     support, suffix = _suffix_tables(group, mult, length, hom, image_group)
-    if not (_slot(suffix[0], target, length) >> length) & 1:
+    if not (suffix[0] >> (length * target_group.order + target)) & 1:
         return None
-    return _lex_smallest_walk(image_group if hom is not None else group, mult,
-                              support, suffix, length, length, target, hom)
+    return _lex_smallest_walk(target_group, mult, support, suffix, length, target, hom)
 
 
-def _lex_smallest_walk(target_group: Group, mult, support, suffix, max_len: int,
-                       length: int, target: int, hom=None):
+def _lex_smallest_walk(target_group: Group, mult, support, suffix, length: int, target: int,
+                       hom=None):
     """The greedy walk of ``extract_lex_smallest`` on suffix tables that
     ``_suffix_tables`` built with any ``max_len >= length``."""
+    n = target_group.order
     neg = target_group.neg_table()
     add = target_group.add_index
     chosen = []
@@ -196,7 +192,7 @@ def _lex_smallest_walk(target_group: Group, mult, support, suffix, max_len: int,
         for _ in range(min(mult[g], remaining)):
             left.append(add(left[-1], step))
         for c in range(len(left) - 1, -1, -1):
-            if (_slot(suffix[k + 1], left[c], max_len) >> (remaining - c)) & 1:
+            if (suffix[k + 1] >> ((remaining - c) * n + left[c])) & 1:
                 break
         else:
             return None
@@ -347,7 +343,7 @@ def _find_disjoint(group: Group, mult, needed: int, collect=None, must_use=None,
                     return hit
             # a zero-sum short enough to pay for `needed` parts must exist
             limit = total_len // needed
-            if not _slot(_reach_masks(group, work, limit), 0, limit) & ~1:
+            if not _reach_masks(group, work, limit) & _zero_column(group.order, limit):
                 if memo is not None:
                     memo[key] = False
                 return False
@@ -460,10 +456,10 @@ def inductive_partition(seq: Sequence, sub: Subgroup) -> InductivePartition:
     blocks = []
     while remaining:
         cap = min(bound, remaining)
-        zero = _slot(_reach_masks(group, work, cap, hom, target), 0, cap) & ~1
+        zero = _reach_masks(group, work, cap, hom, target) & _zero_column(target.order, cap)
         if not zero:
             break
-        shortest = (zero & -zero).bit_length() - 1
+        shortest = ((zero & -zero).bit_length() - 1) // target.order
         picked = extract_lex_smallest(group, work, shortest, 0, hom, target)
         blocks.append(Sequence.from_indices(group, picked))
         for i in picked:
@@ -497,11 +493,12 @@ def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
     if not pilot.divides(seq):
         raise InvalidInputError("pilot subsequence does not divide the sequence")
     a = group.element(anchor)
+    n = group.order
     table = _reach_masks(group, pilot.mult, len(pilot))
     jh = 0
     for j in range(1, len(pilot) + 1):
         jh = group.add_index(jh, a.index)
-        if not (_slot(table, jh, len(pilot)) >> j) & 1:
+        if not (table >> (j * n + jh)) & 1:
             raise InvalidInputError(
                 f"j*h is not a length-j subsum of the pilot for j={j}")
     if len(pilot) < (group.exponent - 1) // 2:
@@ -521,8 +518,9 @@ def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
             rest[h] = v - pilot.mult[g]
     cap = min(group.exponent, len(seq) - len(pilot))
     support, tables = _suffix_tables(group, rest, cap)
-    tlen = _slot(tables[0], 0, cap).bit_length() - 1
-    return a, shifted_pilot, rest, _lex_smallest_walk(group, rest, support, tables, cap, tlen, 0)
+    # the longest zero-sum length, 0 for the empty one
+    tlen = ((tables[0] & _zero_column(n, cap) | 1).bit_length() - 1) // n
+    return a, shifted_pilot, rest, _lex_smallest_walk(group, rest, support, tables, tlen, 0)
 
 
 def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int):

@@ -354,17 +354,16 @@ def _missed_elements(seq: Sequence, variant: str):
     m, n = rank_two_split(seq.group)
     bound = m * n - 2
     if variant == KIND_ETA:
-        window, needed = ((1 << (bound + 1)) - 1) & ~1, ~1    # 0 needs no cover
+        window, needed = range(1, bound + 1), ~1    # 0 needs no cover
     elif variant == KIND_S:
-        window, needed = (1 << bound if bound >= 0 else 0), ~0
+        window, needed = (bound,), ~0
     else:
         raise InvalidInputError(f"variant must be eta or s, got {variant!r}")
-    missing = 0
     table = reach_table(seq, min(bound, len(seq)) if bound >= 0 else 0)
-    for e, lengths in enumerate(table.masks):
-        if not lengths & window:
-            missing |= 1 << e
-    return bound, missing & needed
+    covered = 0
+    for length in window:
+        covered |= table.row(length)
+    return bound, ((1 << seq.group.order) - 1) & ~covered & needed
 
 
 def find_subsum_certificate(seq: Sequence, variant: str):

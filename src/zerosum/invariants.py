@@ -11,7 +11,6 @@ result re-verifies its own witness through the engine.
 from __future__ import annotations
 
 from .engine import (
-    DK_REACH_MAX_BITS,
     has_nonempty_zero_sum,
     has_short_zero_sum,
     has_zero_sum_of_length,
@@ -149,6 +148,11 @@ class InvariantResult:
             "witness": self.witness.to_json() if self.witness is not None else None,
             "stats": self.stats.to_json(),
         }
+
+
+# bits |G|^(count+1) of the D_k part-sum reach table; a larger count
+# decides its lifts by lifts_disjoint_count
+DK_REACH_MAX_BITS = 1 << 16
 
 
 class _DkState:

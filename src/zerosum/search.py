@@ -19,6 +19,7 @@ import math
 import random
 import time
 
+from .engine import reach_push
 from .errors import InvalidInputError
 from .groups import Group, record
 
@@ -554,11 +555,9 @@ class DavenportState:
 class ReachState:
     """Prefixes carrying a length-bounded subsum table.
 
-    Each stack entry is a negated reach table in rows: bit L*|G| + x is
-    set when some sub-multiset of length L <= ``max_len`` sums to -x.  A
-    push of g makes every length one longer and adds g, which moves x to
-    x - g: ``T | translate((T & keep) << |G|, -g)``, one translate of
-    every row at once, with ``keep`` dropping the top row.  ``forbidden``
+    Each stack entry is a reach table in the row layout of ``engine``,
+    with lengths L <= ``max_len``, negated: bit L*|G| + x stands for the
+    sum -x, so a push of g is ``engine.reach_push`` of -g.  ``forbidden``
     is a bitmask over lengths, without length 0; a push of g creates a
     forbidden length L at 0 exactly when bit g of row L - 1 is set.  So
     the pushes left open are the complement of the OR of those rows (one
@@ -577,13 +576,12 @@ class ReachState:
     cap is unbounded.
     """
 
-    __slots__ = ("group", "order", "rows", "keep", "full", "forbidden", "refused",
+    __slots__ = ("group", "rows", "keep", "full", "forbidden", "refused",
                  "lowest", "folds", "neg", "stack", "opens", "cap", "after")
 
     def __init__(self, group: Group, max_len: int, forbidden: int):
         n = group.order
         self.group = group
-        self.order = n
         self.rows = max_len + 1
         self.keep = (1 << (n * max_len)) - 1     # every row but the top
         self.full = (1 << n) - 1
@@ -606,9 +604,7 @@ class ReachState:
     def try_push(self, g: int) -> bool:
         if not (self.opens[-1] >> g) & 1:
             return False
-        table = self.stack[-1]
-        table |= self.group.translate_mask((table & self.keep) << self.order, self.neg[g],
-                                           1, self.rows)
+        table = reach_push(self.group, self.stack[-1], self.neg[g], self.keep, self.rows)
         self.stack.append(table)
         refused = (table & self.refused) >> self.lowest
         for fold in self.folds:
@@ -640,7 +636,7 @@ class ReachState:
         return extra
 
     def _build_bound(self):
-        n = self.order
+        n = self.group.order
         orders = [self.group.order_of_index(h) for h in range(n)]
         caps = {d: self._cap(d) for d in set(orders)}
         self.cap = [caps[d] for d in orders]

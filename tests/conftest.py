@@ -27,24 +27,19 @@ def brute_subsums(seq):
 
 def unpack_table(table, order, max_len):
     """Element -> set of lengths of a packed reach table, read bit by bit
-    from its layout: bit e*(max_len+1) + L for length L at element e."""
-    width = max_len + 1
-    assert table >> (order * width) == 0
-    return {e: {L for L in range(width) if (table >> (e * width + L)) & 1}
+    from its row layout: bit L*|G| + e for length L at element e."""
+    assert table >> (order * (max_len + 1)) == 0
+    return {e: {L for L in range(max_len + 1) if (table >> (L * order + e)) & 1}
             for e in range(order)}
 
 
 def unpack_negated_rows(table, group, max_len):
-    """Element -> set of lengths of a negated row-major reach table, read
-    bit by bit from its layout: bit L*|G| + x for length L at element -x,
-    with -x the y such that add_index(x, y) is 0."""
+    """``unpack_table`` of a negated table, where element x stands for -x,
+    the y such that add_index(x, y) is 0."""
     n = group.order
-    assert table >> (n * (max_len + 1)) == 0
-    out = {e: set() for e in range(n)}
-    for x in range(n):
-        minus = next(y for y in range(n) if group.add_index(x, y) == 0)
-        out[minus] = {L for L in range(max_len + 1) if (table >> (L * n + x)) & 1}
-    return out
+    rows = unpack_table(table, n, max_len)
+    return {next(y for y in range(n) if group.add_index(x, y) == 0): lengths
+            for x, lengths in rows.items()}
 
 
 def brute_minimal_zero_sums(seq):

@@ -53,14 +53,31 @@ def test_reach_table_examples():
 
 
 def test_reach_table_against_brute_force(small_groups):
+    """Each row, length set, fixed-length and restricted sum set equals
+    the brute-force subsums.  Every other table stops below the sequence
+    length, so its pushes drop their top row."""
     rng = random.Random(11)
-    for _ in range(200):
+    for i in range(200):
         group = rng.choice(small_groups)
         seq = random_sequence(rng, group, 9)
-        rt = reach_table(seq, len(seq))
-        oracle = brute_subsums(seq)
+        max_len = rng.randrange(len(seq)) if i % 2 and len(seq) else len(seq)
+        rt = reach_table(seq, max_len)
+        oracle = {e: {L for L in lengths if L <= max_len}
+                  for e, lengths in brute_subsums(seq).items()}
         for e in range(group.order):
             assert set(rt.lengths(e)) == oracle[e]
+        restricted = set()
+        for L in range(max_len + 1):
+            row = {e for e in range(group.order) if L in oracle[e]}
+            assert rt.row(L) == sum(1 << e for e in row)
+            assert rt.sums_of_length(L) == row
+            if L:
+                restricted |= row
+            assert rt.restricted_sums(L) == restricted
+        assert rt.restricted_sums(max_len + 1) == restricted
+        assert rt.row(-1) == rt.row(max_len + 1) == 0
+        assert rt.table >> (group.order * (max_len + 1)) == 0
+        assert not rt.has(0, -1)
 
 
 def test_sigma_monotonicity_and_translation_law(small_groups):
