@@ -13,7 +13,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "engine": (
-        "DisjointDecomposition", "ExtractionFailure", "InductivePartition", "ReachTable",
+        "DisjointDecomposition", "ExtractionFailure", "InductivePartition",
         "enumerate_minimal_zero_sums", "extract_exp_length_zero_sum",
         "extract_short_zero_sum_free", "has_nonempty_zero_sum", "has_short_zero_sum",
         "has_zero_sum_of_length", "inductive_partition", "max_disjoint_decomposition",

@@ -318,11 +318,14 @@ def _cmd_property_d(args) -> int:
 def _cmd_lemma_check(args) -> int:
     budget = _budget_from(args)
     status = "complete"
+    if args.lemma != "subsum-counterexample":
+        if args.group is None:
+            raise InvalidInputError(f"lemma {args.lemma} needs --group")
+        group = _group_from(args.group)
     if args.lemma in ("stability", "subsum"):
         from .extremal import (check_stability, enumerate_eta_extremal, enumerate_s_extremal,
                                find_subsum_certificate, verify_subsum_certificate)
 
-        group = _group_from(args.group)
         enumerate_extremal = (enumerate_eta_extremal if args.kind == KIND_ETA
                               else enumerate_s_extremal)
         sequences, out = enumerate_extremal(group, budget)
@@ -355,7 +358,6 @@ def _cmd_lemma_check(args) -> int:
 
         from .engine import extract_exp_length_zero_sum
 
-        group = _group_from(args.group)
         eta = formula_oracle(group, KIND_ETA)
         if eta is None:
             found = compute(group, KIND_ETA, budget=budget)

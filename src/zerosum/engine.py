@@ -2,16 +2,18 @@
 
 The workhorse is a bounded-multiplicity subset-sum table, packed into one
 int in rows: bit L*|G| + e is set when some sub-multiset of length L sums
-to e, for L up to a length bound max_len.  One copy of an element h makes
-every length one longer and moves every sum by h, which ``reach_push``
-does for all rows at once with one ``Group.translate_mask``; the search
-states of ``search`` push the same way.  Every detector (non-empty
-zero-sum, short zero-sum, fixed length zero-sum) reduces to one AND or
-one bit test against that table.  On top of it sit minimal zero-sum
-enumeration, an exact branch-and-bound count of disjoint zero-sum
-subsequences, the quotient-projection partition used by the inductive
-method, and the constructive extraction of a zero-sum of length exp(G)
-from a long sequence.
+to e, for L up to a length bound max_len.  ``reach_table`` returns it,
+and row L is ``table >> L*|G|`` masked to |G| bits.  Row 0 holds the
+empty sum alone, as every subsum mask of the package holds it, so one
+copy of an element h, which makes every length one longer and moves
+every sum by h, is ``reach_push``: one ``Group.translate_mask`` of all
+rows at once.  The search states of ``search`` push the same way.  Every
+detector (non-empty zero-sum, short zero-sum, fixed length zero-sum)
+reduces to one AND or one bit test against that table.  On top of it sit
+minimal zero-sum enumeration, an exact branch-and-bound count of disjoint
+zero-sum subsequences, the quotient-projection partition used by the
+inductive method, and the constructive extraction of a zero-sum of length
+exp(G) from a long sequence.
 
 All operations are pure functions of their inputs.
 """
@@ -77,60 +79,35 @@ def _reach_masks(group: Group, mult, max_len: int, hom=None, image_group: Group 
     return _suffix_tables(group, mult, max_len, hom, image_group)[1][0]
 
 
-@record(frozen=True)
-class ReachTable:
-    """Subsum reachability: which lengths realize which element.
-
-    ``table`` is the packed table of the module docstring, with rows 0 ..
-    ``max_len``."""
-
-    group: Group
-    max_len: int
-    table: int
-
-    def row(self, length: int) -> int:
-        """Bitmask of the element indices realizable with exact length."""
-        if length < 0 or length > self.max_len:
-            return 0
-        return (self.table >> (length * self.group.order)) & ((1 << self.group.order) - 1)
-
-    def has(self, element, length: int) -> bool:
-        return bool((self.row(length) >> self.group.element(element).index) & 1)
-
-    def lengths(self, element) -> list:
-        idx = self.group.element(element).index
-        return [L for L in range(self.max_len + 1) if (self.row(L) >> idx) & 1]
-
-    def sums_of_length(self, length: int) -> set:
-        """Indices of elements realizable by a sub-multiset of exact length."""
-        return _bits(self.row(length))
-
-    def restricted_sums(self, length: int) -> set:
-        """Indices realizable by a non-empty sub-multiset of length <= given."""
-        mask = 0
-        for L in range(1, min(length, self.max_len) + 1):
-            mask |= self.row(L)
-        return _bits(mask)
-
-
 def _bits(mask: int) -> set:
     return {e for e in range(mask.bit_length()) if (mask >> e) & 1}
 
 
-def reach_table(seq: Sequence, max_len: int) -> ReachTable:
+def reach_table(seq: Sequence, max_len: int) -> int:
+    """The packed reach table of seq (see the module docstring), with rows
+    0 .. max_len."""
     if max_len < 0:
         raise InvalidInputError("negative length bound")
-    return ReachTable(seq.group, max_len, _reach_masks(seq.group, seq.mult, max_len))
+    return _reach_masks(seq.group, seq.mult, max_len)
 
 
 def restricted_sums(seq: Sequence, length: int) -> set:
-    return reach_table(seq, min(length, len(seq))).restricted_sums(length)
+    """Indices realizable by a non-empty sub-multiset of length <= given."""
+    n = seq.group.order
+    bound = min(length, len(seq))
+    table = reach_table(seq, bound)
+    covered = 0
+    for L in range(1, bound + 1):
+        covered |= table >> (L * n)
+    return _bits(covered & ((1 << n) - 1))
 
 
 def sums_of_length(seq: Sequence, length: int) -> set:
+    """Indices realizable by a sub-multiset of exact length."""
     if length > len(seq):
         return set()
-    return reach_table(seq, length).sums_of_length(length)
+    # the top row is the last one in the table
+    return _bits(reach_table(seq, length) >> (length * seq.group.order))
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +188,11 @@ def _iter_minimal_zero_sums(group: Group, mult, containing=None, max_len=None):
     """Yield index tuples of minimal zero-sum sub-multisets, each once.
 
     The DFS keeps zero-sum-free prefixes: appending g closes a zero-sum
-    exactly when -g is a previous subsum (or g is 0).  The closed multiset
-    P*g is minimal precisely when the full sum vanishes and sigma(P) is
-    not also the sum of a proper sub-multiset of P; that single bit is
-    maintained incrementally, making the minimality test O(1).
+    exactly when -g is a subsum of the prefix, the empty sum included, so
+    that 0 closes one at once.  The closed multiset P*g is minimal
+    precisely when the full sum vanishes and sigma(P) is not also the sum
+    of a proper sub-multiset of P; that single bit is maintained
+    incrementally, making the minimality test O(1).
 
     With ``containing`` the element is committed first and the rest
     enumerated canonically, so exactly the minimal zero-sums through that
@@ -228,31 +206,27 @@ def _iter_minimal_zero_sums(group: Group, mult, containing=None, max_len=None):
     translate = group.translate_mask
 
     def rec(start, sigma, sums, sigma_proper):
-        # sums is an int bitmask over element indices
+        # sums is an int bitmask over element indices, bit 0 the empty sum
         if max_len is not None and len(path) >= max_len:
             return
         for g in range(start, n):
             if not avail[g]:
                 continue
             path.append(g)
-            if g == 0:
-                if len(path) == 1:
-                    yield (0,)
+            neg = negs[g]
+            if (sums >> neg) & 1:
+                if neg == sigma and not sigma_proper:
+                    yield tuple(path)
             else:
-                neg = negs[g]
-                if (sums >> neg) & 1:
-                    if neg == sigma and not sigma_proper:
-                        yield tuple(path)
-                else:
-                    avail[g] -= 1
-                    new_sigma = add_row(g)[sigma]
-                    yield from rec(g, new_sigma, sums | translate(sums, g) | (1 << g),
-                                   sigma_proper or (sums >> new_sigma) & 1)
-                    avail[g] += 1
+                avail[g] -= 1
+                new_sigma = add_row(g)[sigma]
+                yield from rec(g, new_sigma, sums | translate(sums, g),
+                               sigma_proper or (sums >> new_sigma) & 1)
+                avail[g] += 1
             path.pop()
 
     if containing is None:
-        yield from rec(0, 0, 0, False)
+        yield from rec(0, 0, 1, False)
         return
     g = containing
     if not avail[g]:
@@ -262,7 +236,7 @@ def _iter_minimal_zero_sums(group: Group, mult, containing=None, max_len=None):
         return
     avail[g] -= 1
     path.append(g)
-    yield from rec(0, g, 1 << g, False)
+    yield from rec(0, g, 1 | 1 << g, False)
 
 
 def enumerate_minimal_zero_sums(seq: Sequence):

@@ -220,9 +220,12 @@ def _extremal_sequences(group: Group, kind: str, budget: Budget | None):
     kind's property, eta or s, enumerated with no orbit pruning."""
     if kind not in (KIND_ETA, KIND_S):
         raise InvalidInputError(f"extremal kind must be eta or s, got {kind!r}")
+    value = formula_oracle(group, kind)
+    if value is None:
+        raise InvalidInputError(
+            f"{kind}({group.label()}) has no closed form to fix the extremal length")
     found = []
-    out = dfs_run(group, search_state(group, kind),
-                  target_length=formula_oracle(group, kind) - 1,
+    out = dfs_run(group, search_state(group, kind), target_length=value - 1,
                   emit=lambda p: found.append(Sequence.from_indices(group, p)),
                   budget=budget)
     return found, out
@@ -356,14 +359,16 @@ def _missed_elements(seq: Sequence, variant: str):
     if variant == KIND_ETA:
         window, needed = range(1, bound + 1), ~1    # 0 needs no cover
     elif variant == KIND_S:
-        window, needed = (bound,), ~0
+        # the one length mn - 2, none over the trivial group, where it is -1
+        window, needed = range(max(bound, 0), bound + 1), ~0
     else:
         raise InvalidInputError(f"variant must be eta or s, got {variant!r}")
-    table = reach_table(seq, min(bound, len(seq)) if bound >= 0 else 0)
+    order = seq.group.order
+    table = reach_table(seq, min(max(bound, 0), len(seq)))
     covered = 0
     for length in window:
-        covered |= table.row(length)
-    return bound, ((1 << seq.group.order) - 1) & ~covered & needed
+        covered |= table >> (length * order)
+    return bound, ((1 << order) - 1) & ~covered & needed
 
 
 def find_subsum_certificate(seq: Sequence, variant: str):

@@ -158,26 +158,29 @@ DK_REACH_MAX_BITS = 1 << 16
 class _DkState:
     """Prefixes with fewer than k disjoint zero-sum subsequences.
 
-    The count c can only grow by one per appended element g, and only when
-    g closes some zero-sum, i.e. -g is already a subsum; the running subsum
-    bitmask ``sums`` gates the lift test, and a copy of 0 always lifts.
-    ``counts`` holds c for every prefix on the stack.
+    Its masks are negated, like those of the D, eta and s states: bit x
+    stands for the sum -x.  ``sums`` holds -Sigma with the empty sum 0, so
+    a push of g is one translate by -g, as in ``DavenportState``.  The
+    count c can only grow by one per appended element g, and only when g
+    closes some zero-sum, i.e. -g is already a subsum, the empty one
+    included: bit g of ``sums`` gates the lift test, and a copy of 0
+    always passes it.  ``counts`` holds c for every prefix on the stack.
 
     Past the gate one bit of a part-sum reach table decides.  ``tables[t]``
-    lives in G^(t+1): bit s_0 + s_1*|G| + ... + s_t*|G|^t is set when the
-    prefix holds disjoint P_0, P_1, ..., P_t with those sums, where
-    P_1 .. P_t are nonempty and were opened in the order the terms were
-    folded in.  A folded copy of h is left out, joins P_0 or an open part,
-    or opens P_(t+1); opening parts in order keeps c+1 tables where a flag
-    per part would need 2^c.  The prefix has exactly c disjoint zero-sums,
-    so every family of c+1 in the grown prefix uses a copy of g, which may
-    be taken to be the new one, and its part without that copy sums to -g.
-    So g lifts exactly when ``tables[c]`` holds (-g, 0, ..., 0), in
-    whatever order the terms were folded.
+    lives in G^(t+1): bit x_0 + x_1*|G| + ... + x_t*|G|^t is set when the
+    prefix holds disjoint P_0, P_1, ..., P_t with sums -x_0, ..., -x_t,
+    where P_1 .. P_t are nonempty and were opened in the order the terms
+    were folded in.  A folded copy of g, folded as -g, is left out, joins
+    P_0 or an open part, or opens P_(t+1); opening parts in order keeps c+1
+    tables where a flag per part would need 2^c.  The prefix has exactly c
+    disjoint zero-sums, so every family of c+1 in the grown prefix uses a
+    copy of g, which may be taken to be the new one, and its part without
+    that copy sums to -g.  So g lifts exactly when ``tables[c]`` holds
+    (g, 0, ..., 0), bit g, in whatever order the terms were folded.
 
     No table depends on the count, so one list serves every count c < k
     with |G|^(c+1) <= ``DK_REACH_MAX_BITS`` and is never dropped.  The
-    ``reach`` stack holds it for the root; a push records only g, and the
+    ``reach`` stack holds it for the root; a push records only -g, and the
     folds pending below the last materialised tables are done at the first
     decision that needs them.  Past the cap ``lifts_disjoint_count``
     decides the lift, with a memo of its sub-decisions kept across the
@@ -193,7 +196,7 @@ class _DkState:
         self.k = k
         self.mult = [0] * group.order
         self.neg = group.neg_table()
-        self.sums = [0]
+        self.sums = [1]
         self.counts = [0]
         # tables[c] for every count c < k with |G|^(c+1) bits within the cap
         levels = 0
@@ -207,14 +210,11 @@ class _DkState:
     def try_push(self, g: int) -> bool:
         sums = self.sums[-1]
         count = self.counts[-1]
-        neg = self.neg[g]
         self.mult[g] += 1
-        if g == 0:
-            lifted = True
-        elif not (sums >> neg) & 1:
+        if not (sums >> g) & 1:
             lifted = False
         elif count < self.levels:
-            lifted = (self._tables()[count] >> neg) & 1
+            lifted = (self._tables()[count] >> g) & 1
         else:
             lifted = lifts_disjoint_count(self.group, self.mult, g, count + 1,
                                           memo=self.memo)
@@ -223,10 +223,11 @@ class _DkState:
             if count >= self.k:
                 self.mult[g] -= 1
                 return False
-        self.sums.append(sums | self.group.translate_mask(sums, g) | (1 << g))
+        minus = self.neg[g]
+        self.sums.append(sums | self.group.translate_mask(sums, minus))
         self.counts.append(count)
-        # the child's tables are this prefix's folded with g, when needed
-        self.reach.append(g)
+        # the child's tables are this prefix's folded with -g, when needed
+        self.reach.append(minus)
         return True
 
     def _tables(self):
@@ -242,7 +243,8 @@ class _DkState:
         return reach[top]
 
     def _fold(self, tables, h):
-        """The reach tables after one more copy of h."""
+        """The reach tables after one more term, folded as h: -g for a copy
+        of g."""
         shifts = self.shifts.get(h)
         if shifts is None:
             shifts = self._level_shifts(h)
@@ -264,7 +266,7 @@ class _DkState:
 
     def _level_shifts(self, h):
         """Per table t and coordinate i <= t, the masked shifts that add h
-        to s_i: ``Group.mask_shifts(h, |G|^i)`` over one row per value of
+        to x_i: ``Group.mask_shifts(h, |G|^i)`` over one row per value of
         the higher coordinates of G^(t+1)."""
         n = self.group.order
         shifts = []

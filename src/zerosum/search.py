@@ -2,8 +2,9 @@
 
 Sequences are explored as non-decreasing index tuples (one representative
 per multiset).  A search state object owns the incremental pruning data
-(a negated subsum bitmask for D, a negated row-major reach table for eta
-and s), its depth bound and the mask of the pushes it would accept;
+(the negated subsums for D, a negated row-major reach table for eta and
+s, each with the empty sum at bit 0, so that a push of g is one translate
+by -g), its depth bound and the mask of the pushes it would accept;
 ``dfs_run`` owns candidate order, optional automorphism-orbit pruning of
 maximise searches (the first two positions, and every later position
 through a chain of pointwise stabilisers, with the gates and run caps of
@@ -516,29 +517,28 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 class DavenportState:
     """Zero-sum-free prefixes; carries the negated subsum bitmask.
 
-    Each stack entry is N = -Sigma, the negatives of the prefix's nonempty
-    subsums, and a push of g is one translate, N | (N - g) | {-g}.
-    Appending g is legal unless g is 0 or -g is already a subsum, i.e. bit
-    g of N is set, so open() reads the pushes left open off N itself.  The
-    subsum set of a zero-sum-free sequence grows strictly with each term
-    and omits 0, so at most |G| - 1 - |N| terms can follow: slack()
-    ignores ``last`` and ``run``.
+    Each stack entry is N = -Sigma, the negatives of the prefix's subsums
+    with the empty sum 0 among them, and a push of g is one translate,
+    N | (N - g).  Appending g is legal unless -g is already a subsum, i.e.
+    bit g of N is set (bit 0 refuses 0), so open() reads the pushes left
+    open off N itself.  The subsum set of a zero-sum-free sequence grows
+    strictly with each term, so at most |G| - |N| terms can follow:
+    slack() ignores ``last`` and ``run``.
     """
 
-    __slots__ = ("group", "neg", "nonzero", "stack")
+    __slots__ = ("group", "neg", "full", "stack")
 
     def __init__(self, group: Group):
         self.group = group
         self.neg = group.neg_table()
-        self.nonzero = ((1 << group.order) - 1) & ~1
-        self.stack = [0]
+        self.full = (1 << group.order) - 1
+        self.stack = [1]
 
     def try_push(self, g: int) -> bool:
         negs = self.stack[-1]
-        if g == 0 or (negs >> g) & 1:
+        if (negs >> g) & 1:
             return False
-        minus = self.neg[g]
-        self.stack.append(negs | self.group.translate_mask(negs, minus) | (1 << minus))
+        self.stack.append(negs | self.group.translate_mask(negs, self.neg[g]))
         return True
 
     def pop(self, g: int):
@@ -546,10 +546,10 @@ class DavenportState:
 
     def open(self):
         """Bitmask of the g that try_push would accept."""
-        return self.nonzero & ~self.stack[-1]
+        return self.full & ~self.stack[-1]
 
     def slack(self, last=None, run=0):
-        return (self.group.order - 1) - self.stack[-1].bit_count()
+        return self.group.order - self.stack[-1].bit_count()
 
 
 class ReachState:

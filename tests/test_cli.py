@@ -364,6 +364,9 @@ def test_usage_errors_exit_64():
 
 @pytest.mark.parametrize("args", [
     ["lemma-check", "--lemma", "subsum-counterexample"],
+    ["lemma-check", "--lemma", "stability"],
+    ["lemma-check", "--lemma", "stability", "--group", "3,3,3"],
+    ["lemma-check", "--lemma", "subsum", "--group", "2,2,2,2"],
     ["lemma-check", "--lemma", "extraction", "--group", "2,2", "--samples", "-5"],
     ["lemma-check", "--lemma", "extraction", "--group", "2,2", "--samples", "0"],
     ["constant", "--group", "2,4", "--kind", "d", "--budget-nodes", "-1"],

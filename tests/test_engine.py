@@ -21,6 +21,7 @@ from zerosum import (
     reach_table,
     restricted_sums,
     subgroup_generated_by,
+    sums_of_length,
 )
 from zerosum.engine import (_iter_minimal_zero_sums, _reach_masks, extract_lex_smallest,
                             lifts_disjoint_count)
@@ -39,45 +40,42 @@ from conftest import (
 def test_reach_table_examples():
     c9 = make_group([9])
     s = Sequence.from_terms(c9, [(1, 8)])
-    rt = reach_table(s, 7)
-    assert rt.restricted_sums(7) == {1, 2, 3, 4, 5, 6, 7}
+    assert restricted_sums(s, 7) == {1, 2, 3, 4, 5, 6, 7}
 
-    rt = reach_table(Sequence.empty(c9), 0)
-    assert rt.lengths(0) == [0]
-    assert all(rt.lengths(e) == [] for e in range(1, 9))
+    lengths = unpack_table(reach_table(Sequence.empty(c9), 0), 9, 0)
+    assert lengths == {e: {0} if e == 0 else set() for e in range(9)}
 
     c5 = make_group([5])
-    rt = reach_table(Sequence.from_terms(c5, [(0, 3)]), 3)
-    assert rt.lengths(0) == [0, 1, 2, 3]
-    assert all(rt.lengths(e) == [] for e in range(1, 5))
+    lengths = unpack_table(reach_table(Sequence.from_terms(c5, [(0, 3)]), 3), 5, 3)
+    assert lengths == {e: {0, 1, 2, 3} if e == 0 else set() for e in range(5)}
+
+    with pytest.raises(InvalidInputError):
+        reach_table(s, -1)
 
 
 def test_reach_table_against_brute_force(small_groups):
-    """Each row, length set, fixed-length and restricted sum set equals
-    the brute-force subsums.  Every other table stops below the sequence
-    length, so its pushes drop their top row."""
+    """The packed table, read bit by bit, and the fixed-length and
+    restricted sum sets at every length, past the table's and the
+    sequence's too, equal the brute-force subsums.  Every other table
+    stops below the sequence length, so its pushes drop their top row."""
     rng = random.Random(11)
     for i in range(200):
         group = rng.choice(small_groups)
         seq = random_sequence(rng, group, 9)
         max_len = rng.randrange(len(seq)) if i % 2 and len(seq) else len(seq)
-        rt = reach_table(seq, max_len)
-        oracle = {e: {L for L in lengths if L <= max_len}
-                  for e, lengths in brute_subsums(seq).items()}
-        for e in range(group.order):
-            assert set(rt.lengths(e)) == oracle[e]
+        oracle = brute_subsums(seq)
+        assert unpack_table(reach_table(seq, max_len), group.order, max_len) == \
+            {e: {L for L in lengths if L <= max_len} for e, lengths in oracle.items()}
         restricted = set()
-        for L in range(max_len + 1):
+        for L in range(len(seq) + 2):
             row = {e for e in range(group.order) if L in oracle[e]}
-            assert rt.row(L) == sum(1 << e for e in row)
-            assert rt.sums_of_length(L) == row
+            assert sums_of_length(seq, L) == row
             if L:
                 restricted |= row
-            assert rt.restricted_sums(L) == restricted
-        assert rt.restricted_sums(max_len + 1) == restricted
-        assert rt.row(-1) == rt.row(max_len + 1) == 0
-        assert rt.table >> (group.order * (max_len + 1)) == 0
-        assert not rt.has(0, -1)
+            assert restricted_sums(seq, L) == restricted
+        for reader in (reach_table, sums_of_length, restricted_sums):
+            with pytest.raises(InvalidInputError):
+                reader(seq, -1)
 
 
 def test_sigma_monotonicity_and_translation_law(small_groups):
@@ -93,12 +91,10 @@ def test_sigma_monotonicity_and_translation_law(small_groups):
         # translation shifts each fixed-length slice by k*c
         c = rng.randrange(group.order)
         shifted = seq.translate(group.element(c))
-        rt = reach_table(seq, len(seq))
-        rt2 = reach_table(shifted, len(seq))
         for k in range(len(seq) + 1):
             kc = group.scale_index(k, c)
-            assert rt2.sums_of_length(k) == \
-                {group.add_index(kc, e) for e in rt.sums_of_length(k)}
+            assert sums_of_length(shifted, k) == \
+                {group.add_index(kc, e) for e in sums_of_length(seq, k)}
 
 
 def test_zero_sum_detectors():

@@ -21,6 +21,7 @@ from zerosum import (
     make_group,
     max_disjoint_zero_sums,
     rank_two_params,
+    restricted_sums,
     s_extremal_family,
     square_counterexample_report,
     verify_subsum_certificate,
@@ -156,6 +157,11 @@ def test_classify_eta_c4():
     report = classify_eta_extremal(c4)
     assert report.total == 2 and report.matched == 2
     assert report.complete_match
+    # no closed form fixes the extremal length over C3^3 or C2^4
+    with pytest.raises(InvalidInputError):
+        enumerate_eta_extremal(make_group([3, 3, 3]))
+    with pytest.raises(InvalidInputError):
+        enumerate_s_extremal(make_group([2, 2, 2, 2]))
 
 
 def test_classify_eta_c2():
@@ -204,8 +210,7 @@ def test_subsum_certificate_cyclic():
     assert cert is not None
     assert verify_subsum_certificate(seq, cert)
     # the trivial-subgroup certificate with k' = b also works
-    from zerosum.engine import reach_table
-    covered = reach_table(seq, 7).restricted_sums(7)
+    covered = restricted_sums(seq, 7)
     assert set(range(9)) - covered - {0} == {8}    # only -b is missed
 
 

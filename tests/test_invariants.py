@@ -438,13 +438,15 @@ def test_pinned_property_d_tree():
 
 def test_dk_state_carries_the_disjoint_count(small_groups):
     """The top of a _DkState stack holds the prefix's disjoint zero-sum
-    count and its subsum mask, recomputed with sets; a refused push is one
-    that reaches k."""
-    def subsum_mask(group, terms):
-        sums = set()
+    count and its negated subsum mask, the empty sum included, recomputed
+    with sets; a refused push is one that reaches k."""
+    def negated_subsum_mask(group, terms):
+        sums = {0}
         for t in terms:
-            sums |= {group.add_index(s, t) for s in sums} | {t}
-        return sum(1 << e for e in sums)
+            sums |= {group.add_index(s, t) for s in sums}
+        negated = {next(y for y in range(group.order) if group.add_index(x, y) == 0)
+                   for x in sums}
+        return sum(1 << e for e in negated)
 
     rng = random.Random(41)
     for _ in range(150):
@@ -464,7 +466,7 @@ def test_dk_state_carries_the_disjoint_count(small_groups):
                 continue
             prefix.append(g)
             assert state.counts[-1] == brute_max_disjoint(grown) < k
-            assert state.sums[-1] == subsum_mask(group, prefix)
+            assert state.sums[-1] == negated_subsum_mask(group, prefix)
 
 
 def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
@@ -490,9 +492,10 @@ def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
         assert count < state.levels
         assert brute(group, tuple(sorted(prefix)), count + 1) == count
         table = state._tables()[count]
+        # the table is negated: g lifts when it holds (g, 0, ..., 0), bit g
         for g in range(group.order):
             lifts = brute(group, tuple(sorted(prefix + [g])), count + 1) > count
-            assert (table >> state.neg[g]) & 1 == lifts, (group, prefix, g)
+            assert (table >> g) & 1 == lifts, (group, prefix, g)
         seen.add(count)
     assert seen == {0, 1, 2, 3, 4}
 

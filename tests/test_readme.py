@@ -83,4 +83,4 @@ def test_import_loads_only_what_it_uses():
     ])
     out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                          text=True, check=True).stdout.split("\n")
-    assert out[:4] == ["[]", "[]", "True", "True 65"]
+    assert out[:4] == ["[]", "[]", "True", "True 64"]
