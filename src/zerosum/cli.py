@@ -137,6 +137,13 @@ def _load_checkpoint(filename, job, order):
             and isinstance(cursors, list) and len(cursors) == len(path) + 1
             and all(type(c) is int and 0 <= c <= order for c in cursors)):
         raise InvalidInputError(f"checkpoint path or cursors do not fit a group of order {order}")
+    if not all(type(search[key]) is int and search[key] >= 0
+               for key in ("best", "nodes", "slack_prunes")):
+        raise InvalidInputError("checkpoint best, nodes and slack_prunes must be counts")
+    witness = search["witness"]
+    if not (witness is None or isinstance(witness, list)
+            and all(type(g) is int and 0 <= g < order for g in witness)):
+        raise InvalidInputError(f"checkpoint witness does not fit a group of order {order}")
     return search
 
 
@@ -326,6 +333,8 @@ def _cmd_lemma_check(args) -> int:
         from .extremal import (check_stability, enumerate_eta_extremal, enumerate_s_extremal,
                                find_subsum_certificate, verify_subsum_certificate)
 
+        if args.lemma == "subsum":
+            rank_two_split(group)       # certificates need rank two: refuse before enumerating
         enumerate_extremal = (enumerate_eta_extremal if args.kind == KIND_ETA
                               else enumerate_s_extremal)
         sequences, out = enumerate_extremal(group, budget)

@@ -596,7 +596,6 @@ class Subgroup:
     parent: Group
     mask: int
     generators: tuple
-    invariant_factors: tuple
 
     @property
     def order(self) -> int:
@@ -636,57 +635,6 @@ def _closure_with(group: Group, mask: int, g: int) -> int:
         mask = grown
 
 
-def _torsion_invariant_factors(group: Group, mask: int) -> tuple:
-    """Abstract invariant factors of a subgroup from d-torsion counts.
-
-    If H has p-part C_{p^e_1} + ... + C_{p^e_k}, the count of x in H with
-    p^j * x = 0 is p^(sum_i min(j, e_i)); the exponent partition is
-    recovered from the increments of those logarithms.
-    """
-    n = mask.bit_count()
-    if n == 1:
-        return ()
-    members = [x for x in range(group.order) if (mask >> x) & 1]
-    m = n
-    primes = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    prime_parts = {}
-    for p in primes:
-        logs = [0]
-        while True:
-            pj = p ** len(logs)
-            cnt = sum(1 for x in members if group.scale_index(pj, x) == 0)
-            e = 0
-            while p ** e < cnt:
-                e += 1
-            if e == logs[-1]:
-                break
-            logs.append(e)
-        # count_ge[j] = number of cyclic p-factors with exponent >= j+1
-        count_ge = [logs[j + 1] - logs[j] for j in range(len(logs) - 1)]
-        heights = []
-        for i in range(count_ge[0] if count_ge else 0):
-            heights.append(sum(1 for c in count_ge if c > i))
-        prime_parts[p] = sorted(heights, reverse=True)
-    width = max((len(v) for v in prime_parts.values()), default=0)
-    factors = []
-    for pos in range(width):
-        f = 1
-        for p, heights in prime_parts.items():
-            if pos < len(heights):
-                f *= p ** heights[pos]
-        factors.append(f)
-    return tuple(sorted(factors))
-
-
 def subgroup_generated_by(group: Group, gens) -> Subgroup:
     """Smallest subgroup containing the given elements."""
     mask = 1
@@ -695,7 +643,7 @@ def subgroup_generated_by(group: Group, gens) -> Subgroup:
         e = group.element(g)
         gen_elems.append(e)
         mask = _closure_with(group, mask, e.index)
-    return Subgroup(group, mask, tuple(gen_elems), _torsion_invariant_factors(group, mask))
+    return Subgroup(group, mask, tuple(gen_elems))
 
 
 def enumerate_subgroups(group: Group, proper_only: bool = False):
@@ -727,11 +675,7 @@ def _all_subgroups(group: Group) -> tuple:
                 continue
             mask = _closure_with(group, h.mask, g)
             if mask not in seen:
-                sub = Subgroup(
-                    group, mask,
-                    h.generators + (group.element(g),),
-                    _torsion_invariant_factors(group, mask),
-                )
+                sub = Subgroup(group, mask, h.generators + (group.element(g),))
                 seen[mask] = sub
                 queue.append(sub)
     return tuple(sorted(seen.values(), key=lambda s: (s.order, s.mask)))
@@ -788,17 +732,23 @@ def quotient(group: Group, sub: Subgroup) -> QuotientMap:
     return qm
 
 
-def find_inductive_subgroup(group: Group, m: int, n: int) -> Subgroup:
-    """Subgroup H of C_2 + C_2m + C_2mn with H = C_m + C_mn and G/H = C_2^3.
+def _rank_three_params(group: Group):
+    """(m, n) with group = C_2 + C_2m + C_2mn, or None."""
+    f = group.invariant_factors
+    if len(f) == 3 and f[0] == 2:
+        return f[1] // 2, f[2] // f[1]
+    return None
+
+
+def find_inductive_subgroup(group: Group) -> Subgroup:
+    """Subgroup H of G = C_2 + C_2m + C_2mn with H = C_m + C_mn and
+    G/H = C_2^3; refuses any other G.
 
     For the canonical presentation this is the subgroup generated by twice
     each of the last two canonical generators.
     """
-    expected = canonical_invariant_factors([2, 2 * m, 2 * m * n])
-    if group.invariant_factors != expected:
-        raise InvalidInputError(
-            f"group {group.label()} is not C2 x C{2*m} x C{2*m*n}"
-        )
+    if _rank_three_params(group) is None:
+        raise InvalidInputError(f"group {group.label()} is not C2 x C2m x C2mn")
     e2 = group.element([0, 1, 0])
     e3 = group.element([0, 0, 1])
     return subgroup_generated_by(group, [2 * e2, 2 * e3])

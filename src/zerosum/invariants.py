@@ -18,14 +18,13 @@ from .engine import (
     max_disjoint_zero_sums,
 )
 from .errors import InvalidInputError
-from .groups import Group, factory, record
+from .groups import Group, _rank_three_params, factory, record
 from .search import (
     Budget,
     DavenportState,
+    ReachState,
     SearchStats,
     dfs_run,
-    exact_length_state,
-    short_zero_sum_state,
 )
 from .sequences import Sequence
 
@@ -66,14 +65,6 @@ def rank_two_split(group: Group):
     if len(f) == 1:
         return 1, f[0]
     return f[0], f[1] // f[0]
-
-
-def _rank_three_params(group: Group):
-    """(m, n) with group = C_2 + C_2m + C_2mn, or None."""
-    f = group.invariant_factors
-    if len(f) == 3 and f[0] == 2:
-        return f[1] // 2, f[2] // f[1]
-    return None
 
 
 def formula_oracle(group: Group, kind: str, k: int | None = None):
@@ -299,9 +290,7 @@ def search_state(group: Group, kind: str, k: int | None = None):
         return DavenportState(group)
     if kind == KIND_DK:
         return _DkState(group, k)
-    if kind == KIND_ETA:
-        return short_zero_sum_state(group)
-    return exact_length_state(group, group.exponent)
+    return ReachState(group, kind == KIND_ETA)
 
 
 def has_property(seq: Sequence, kind: str, k: int | None = None) -> bool:

@@ -553,47 +553,46 @@ class DavenportState:
 
 
 class ReachState:
-    """Prefixes carrying a length-bounded subsum table.
+    """Prefixes carrying their subsum table up to length exp(G).
 
     Each stack entry is a reach table in the row layout of ``engine``,
-    with lengths L <= ``max_len``, negated: bit L*|G| + x stands for the
-    sum -x, so a push of g is ``engine.reach_push`` of -g.  ``forbidden``
-    is a bitmask over lengths, without length 0; a push of g creates a
-    forbidden length L at 0 exactly when bit g of row L - 1 is set.  So
-    the pushes left open are the complement of the OR of those rows (one
-    row for the exact-exp-length detector of s, rows 0 .. exp(G) - 1 for
-    the short-zero-sum one of eta), folded onto row 0 in halving steps
-    once per table and kept on ``opens``, parallel to the stack; try_push
-    refuses from it before it translates.
+    with lengths L <= exp(G), negated: bit L*|G| + x stands for the sum
+    -x, so a push of g is ``engine.reach_push`` of -g.  A ``short`` state
+    (eta's) refuses a zero-sum of any length 1 .. exp(G), the other (s's)
+    one of length exactly exp(G); a push of g creates a zero-sum of length
+    L exactly when bit g of row L - 1 is set.  So the pushes left open are
+    the complement of the OR of the refused rows (0 .. exp(G) - 1, or
+    exp(G) - 1 alone), folded onto row 0 in halving steps once per table
+    and kept on ``opens``, parallel to the stack; try_push refuses from it
+    before it translates.
 
     With ``last``, slack() is the multiplicity bound of ``dfs_run``: h^L
-    is a zero-sum of length L when ord(h) divides L, so the least such
-    forbidden L caps h at ``cap[h]`` = L - 1 copies (ord(h) - 1 for the
-    short detector, exp(G) - 1 for the exp-length one).  ``after[last]``
-    pairs each nonzero cap c with the mask of the h > last whose cap is
-    c, and the bound counts those left open.  The bound is built on the
-    first such query, in O(|G|) steps, and ``after`` is None when some
-    cap is unbounded.
+    is a zero-sum of length L when ord(h) divides L, and ord(h) divides
+    exp(G), so h has at most ``cap[h]`` copies, ord(h) - 1 when short and
+    exp(G) - 1 otherwise.  ``after[last]`` pairs each nonzero cap c with
+    the mask of the h > last whose cap is c, and the bound counts those
+    left open.  The bound is built on the first such query, in O(|G|)
+    steps.
     """
 
-    __slots__ = ("group", "rows", "keep", "full", "forbidden", "refused",
+    __slots__ = ("group", "short", "rows", "keep", "full", "refused",
                  "lowest", "folds", "neg", "stack", "opens", "cap", "after")
 
-    def __init__(self, group: Group, max_len: int, forbidden: int):
+    def __init__(self, group: Group, short: bool):
         n = group.order
+        exp = group.exponent
         self.group = group
-        self.rows = max_len + 1
-        self.keep = (1 << (n * max_len)) - 1     # every row but the top
+        self.short = short
+        self.rows = exp + 1
+        self.keep = (1 << (n * exp)) - 1         # every row but the top
         self.full = (1 << n) - 1
-        self.forbidden = forbidden
-        # the rows L - 1 < max_len, L forbidden, whose bit g refuses a push
-        # of g; shifted down by ``lowest`` and folded by ``folds`` they OR
-        # onto row 0
-        rows = [L - 1 for L in range(1, max_len + 1) if (forbidden >> L) & 1]
-        lo, hi = (rows[0], rows[-1]) if rows else (0, 0)
-        self.refused = sum(self.full << (r * n) for r in rows)
+        # the refused rows lo .. exp - 1, whose bit g refuses a push of g;
+        # shifted down by ``lowest`` and folded by ``folds`` they OR onto
+        # row 0
+        lo = 0 if short else exp - 1
         self.lowest = lo * n
-        self.folds = [n << i for i in range((hi - lo).bit_length())]
+        self.refused = self.keep >> self.lowest << self.lowest
+        self.folds = [n << i for i in range((exp - 1 - lo).bit_length())]
         self.neg = group.neg_table()
         self.stack = [1]
         # the empty table holds length 0 at 0 alone: it refuses 0 when row
@@ -625,8 +624,6 @@ class ReachState:
             return None
         if self.cap is None:
             self._build_bound()
-        if self.after is None:
-            return None
         free = self.opens[-1]
         extra = 0
         for c, m in self.after[last]:
@@ -636,31 +633,15 @@ class ReachState:
         return extra
 
     def _build_bound(self):
-        n = self.group.order
-        orders = [self.group.order_of_index(h) for h in range(n)]
-        caps = {d: self._cap(d) for d in set(orders)}
-        self.cap = [caps[d] for d in orders]
-        if None in caps.values():
-            self.after = None
-            return
+        group = self.group
+        n = group.order
+        if self.short:
+            self.cap = [group.order_of_index(h) - 1 for h in range(n)]
+        else:
+            self.cap = [group.exponent - 1] * n
         classes = dict.fromkeys(sorted(set(self.cap) - {0}), 0)
         self.after = [None] * n
         for h in reversed(range(n)):
             self.after[h] = tuple(classes.items())
             if self.cap[h]:
                 classes[self.cap[h]] |= 1 << h
-
-    def _cap(self, order):
-        """One less than the least forbidden length that ``order`` divides."""
-        multiples = range(order, self.rows, order)
-        return next((L - 1 for L in multiples if (self.forbidden >> L) & 1), None)
-
-
-def short_zero_sum_state(group: Group) -> ReachState:
-    exp = group.exponent
-    forbidden = ((1 << (exp + 1)) - 1) & ~1
-    return ReachState(group, exp, forbidden)
-
-
-def exact_length_state(group: Group, length: int) -> ReachState:
-    return ReachState(group, length, 1 << length)

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import pytest
 
@@ -114,6 +115,24 @@ def brute_subgroup_masks(group):
                  if all((bits >> group.add_index(a, b)) & 1
                         for a in range(group.order) if (bits >> a) & 1
                         for b in range(group.order) if (bits >> b) & 1))
+
+
+def _element_orders(group, indices):
+    """Sorted orders of the elements at ``indices``, each the lcm over its
+    coordinates of f / gcd(a, f)."""
+    return sorted(math.lcm(*(f // math.gcd(a, f) for a, f in
+                             zip(group.residues_of(i), group.invariant_factors)))
+                  for i in indices)
+
+
+def is_isomorphic_to(group, mask, factors):
+    """Whether the subgroup with membership mask ``mask`` is isomorphic to
+    make_group(factors): a finite abelian group is determined by how many
+    elements it has of each order."""
+    expected = make_group(factors)
+    members = [i for i in range(group.order) if (mask >> i) & 1]
+    return _element_orders(group, members) == \
+        _element_orders(expected, range(expected.order))
 
 
 def random_sequence(rng, group, max_len):

@@ -14,6 +14,7 @@ from math import comb, gcd
 import pytest
 
 from zerosum import (
+    Budget,
     Sequence,
     build_dk_witness,
     build_eta_extremal,
@@ -49,22 +50,31 @@ from conftest import brute_max_disjoint, brute_subsums
 
 LONG_PROFILE = os.environ.get("ZEROSUM_LONG") == "1"
 
+# Node budgets of 50 times the largest count a search of the kind takes
+# here, so that a search state which stops refusing pushes fails a test
+# instead of hanging it: D(C2xC2xC8), eta(C2xC4xC4), s(C10), D_3(C6), the
+# tails' D_3(C2xC2xC4), and with ZEROSUM_LONG the hard D_2(C2xC2xC8).
+SEARCH_NODES = {"d": 50 * 4_173, "eta": 50 * 4_716, "s": 50 * 11_595, "dk": 50 * 1_802}
+TAIL_NODES = 50 * 70_004
+HARD_NODES = 50 * 5_403_641
+
 _cache = {}
 
 
-def searched(factors, kind, k=None):
+def searched(factors, kind, k=None, max_nodes=None):
     key = (tuple(factors), kind, k)
     if key not in _cache:
-        result = compute(make_group(factors), kind, k=k)
+        budget = Budget(max_nodes=max_nodes or SEARCH_NODES[kind])
+        result = compute(make_group(factors), kind, k=k, budget=budget)
         assert result.status == "complete", key
         _cache[key] = result
     return _cache[key]
 
 
-def _check_block(entries, kind):
+def _check_block(entries, kind, max_nodes=None):
     for factors, k, expect in entries:
         group = make_group(factors)
-        res = searched(factors, kind, k)
+        res = searched(factors, kind, k, max_nodes)
         oracle = formula_oracle(group, kind, k)
         assert res.value == expect == oracle, \
             f"{kind}({group.label()}, k={k}): search={res.value} " \
@@ -117,7 +127,7 @@ def test_criterion_1_formula_reproduction_by_search():
             ([2, 2, 2], 4, [4, 7, 9, 11], 3, 2),
             ([2, 2, 4], 3, [6, 10, 14], 2, 1)):
         group = make_group(factors)
-        tail = detect_arithmetic_tail(group, horizon)
+        tail = detect_arithmetic_tail(group, horizon, Budget(max_nodes=TAIL_NODES))
         oracle = [formula_oracle(group, "dk", k) for k in range(1, horizon + 1)]
         assert tail.dk_values == expect == oracle, \
             f"dk({group.label()}): search={tail.dk_values} formula={oracle} expected={expect}"
@@ -154,7 +164,7 @@ def _check_hard_searches():
     recursion over its minimal zero-sums, fewer than k disjoint ones for
     dk."""
     for factors, kind, k, expect in HARD_SEARCHES:
-        _check_block([(factors, k, expect)], kind)
+        _check_block([(factors, k, expect)], kind, HARD_NODES)
         witness = searched(factors, kind, k).witness
         exp = witness.group.exponent
         zero_lengths = brute_subsums(witness)[0]

@@ -57,7 +57,9 @@ def test_budget_exhaustion_exit_code(capsys, tmp_path):
 
 
 def test_checkpoint_resume_round_trip(capsys, tmp_path):
-    code, out = run_cli(["constant", "--group", "3,9", "--kind", "d"], capsys)
+    # 50 times the 4,168 nodes of the full search: it stops only a runaway one
+    code, out = run_cli(["constant", "--group", "3,9", "--kind", "d",
+                         "--budget-nodes", "208400"], capsys)
     assert code == 0
     full = json.loads(out)["result"]
 
@@ -142,20 +144,38 @@ def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
     assert "version" in capsys.readouterr().err
 
 
+def _set_search_field(key, value):
+    return lambda stored: json.dumps({**stored, "search": {**stored["search"], key: value}})
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda stored: "{",
     lambda stored: "[1, 2]",
-    lambda stored: json.dumps({**stored, "search": {**stored["search"], "path": [999]}}),
+    _set_search_field("path", [999]),
     lambda stored: json.dumps({**stored, "search": {
         key: value for key, value in stored["search"].items() if key != "cursors"}}),
-], ids=["not-json", "not-an-object", "path-out-of-range", "no-cursors"])
+    _set_search_field("best", None),
+    _set_search_field("best", "x"),
+    _set_search_field("best", -1),
+    _set_search_field("nodes", None),
+    _set_search_field("nodes", True),
+    _set_search_field("slack_prunes", "a"),
+    _set_search_field("witness", 5),
+    _set_search_field("witness", [999]),
+    _set_search_field("witness", [0, "1"]),
+], ids=["not-json", "not-an-object", "path-out-of-range", "no-cursors",
+        "best-null", "best-string", "best-negative", "nodes-null", "nodes-bool",
+        "slack-prunes-string", "witness-int", "witness-out-of-range",
+        "witness-string-term"])
 def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
     # exit 1 would claim a falsified verification
     ck = tmp_path / "ck.json"
     args = ["constant", "--group", "2,2,4", "--kind", "eta", "--checkpoint", str(ck)]
     code, _ = run_cli(args + ["--budget-nodes", "30"], capsys)
     assert code == 2
-    ck.write_text(corrupt(json.loads(ck.read_text())))
+    stored = json.loads(ck.read_text())
+    assert stored["search"]["witness"]        # the corruptions replace a real witness
+    ck.write_text(corrupt(stored))
     code = main(args + ["--resume"])
     assert code == 64
     assert "checkpoint" in capsys.readouterr().err
@@ -367,6 +387,8 @@ def test_usage_errors_exit_64():
     ["lemma-check", "--lemma", "stability"],
     ["lemma-check", "--lemma", "stability", "--group", "3,3,3"],
     ["lemma-check", "--lemma", "subsum", "--group", "2,2,2,2"],
+    ["lemma-check", "--lemma", "subsum", "--group", "2,4,4"],
+    ["lemma-check", "--lemma", "subsum", "--group", "2,4,4", "--budget-nodes", "1"],
     ["lemma-check", "--lemma", "extraction", "--group", "2,2", "--samples", "-5"],
     ["lemma-check", "--lemma", "extraction", "--group", "2,2", "--samples", "0"],
     ["constant", "--group", "2,4", "--kind", "d", "--budget-nodes", "-1"],

@@ -7,6 +7,7 @@ from zerosum import (
     CapacityError,
     InvalidInputError,
     Group,
+    Subgroup,
     enumerate_subgroups,
     find_inductive_subgroup,
     make_group,
@@ -16,7 +17,7 @@ from zerosum import (
 )
 from zerosum.groups import canonical_invariant_factors
 
-from conftest import brute_subgroup_masks
+from conftest import brute_subgroup_masks, is_isomorphic_to
 
 
 def test_make_group_basics():
@@ -134,11 +135,14 @@ def test_subgroups_satisfy_lagrange_and_closure():
 def test_subgroup_abstract_structure():
     g = make_group([2, 4, 4])
     h = subgroup_generated_by(g, [g.element([0, 2, 0]), g.element([0, 0, 2])])
-    assert h.invariant_factors == (2, 2)
+    assert is_isomorphic_to(g, h.mask, [2, 2])
+    assert not is_isomorphic_to(g, h.mask, [4])
     assert h.order == 4
     k = subgroup_generated_by(g, [g.element([0, 1, 0])])
-    assert k.invariant_factors == (4,)
-    assert subgroup_generated_by(g, []).invariant_factors == ()
+    assert is_isomorphic_to(g, k.mask, [4])
+    assert not is_isomorphic_to(g, k.mask, [2, 2])
+    assert is_isomorphic_to(g, subgroup_generated_by(g, []).mask, [])
+    assert Subgroup._fields == ("parent", "mask", "generators")
 
 
 def test_enumerate_subgroups_capacity():
@@ -201,22 +205,24 @@ def test_quotient_rejects_foreign_subgroup():
 
 
 def test_find_inductive_subgroup():
-    h = find_inductive_subgroup(make_group([2, 4, 4]), 2, 1)
-    assert h.invariant_factors == (2, 2) and h.order == 4
-    assert quotient(make_group([2, 4, 4]), h).target.invariant_factors == (2, 2, 2)
-
-    assert find_inductive_subgroup(make_group([2, 2, 2]), 1, 1).is_trivial
-
-    g = make_group([2, 4, 8])
-    h = find_inductive_subgroup(g, 2, 2)
-    assert h.invariant_factors == (2, 4)
-    # independent order check, without the Smith machinery
-    orders = sorted(g.order_of_index(i) for i in h.member_indices())
-    assert orders == [1, 2, 2, 2, 4, 4, 4, 4]
+    g = make_group([2, 4, 4])
+    h = find_inductive_subgroup(g)
+    assert is_isomorphic_to(g, h.mask, [2, 2]) and h.order == 4
     assert quotient(g, h).target.invariant_factors == (2, 2, 2)
 
-    with pytest.raises(InvalidInputError):
-        find_inductive_subgroup(make_group([3, 3, 3]), 1, 1)
+    assert find_inductive_subgroup(make_group([2, 2, 2])).is_trivial
+
+    g = make_group([2, 4, 8])
+    h = find_inductive_subgroup(g)
+    assert is_isomorphic_to(g, h.mask, [2, 4])
+    assert quotient(g, h).target.invariant_factors == (2, 2, 2)
+
+    g = make_group([2, 6, 12])          # m = 3, n = 2: H = C3 + C6
+    assert is_isomorphic_to(g, find_inductive_subgroup(g).mask, [3, 6])
+
+    for factors in ([3, 3, 3], [4, 4, 4], [2, 4]):
+        with pytest.raises(InvalidInputError):
+            find_inductive_subgroup(make_group(factors))
 
 
 def test_automorphism_counts():

@@ -18,8 +18,6 @@ from zerosum.search import (
     ReachState,
     canonical_first_two,
     dfs_run,
-    exact_length_state,
-    short_zero_sum_state,
     stabiliser_chain,
 )
 from zerosum.invariants import search_state
@@ -226,37 +224,32 @@ def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
     # the orbit rules keep maxima, not counts
     group = make_group([2, 2])
     with pytest.raises(InvalidInputError):
-        dfs_run(group, short_zero_sum_state(group), target_length=2,
+        dfs_run(group, ReachState(group, True), target_length=2,
                 emit=[].append, orbit_pruning=True)
 
 
 @pytest.mark.parametrize("factors", [[7], [2, 6], [4, 4], [2, 2, 4], [2, 2, 2, 2]], ids=str)
 def test_reach_state_tables_match_brute_subsums(factors):
-    """Every table on the stack of a short-zero-sum, exact-length or
-    gapped (lengths 2 and 4) state holds the subsums of its prefix up to
-    max_len, and a push is refused exactly when it would create a
-    forbidden length at 0."""
+    """Every table on the stack of a short-zero-sum (eta) or exp-length (s)
+    state holds the subsums of its prefix up to exp(G), and a push is
+    refused exactly when it would create a forbidden length at 0."""
     group = make_group(factors)
     exp = group.exponent
     rng = random.Random(group.order)
-    for make, max_len, forbidden in (
-            (short_zero_sum_state, exp, set(range(1, exp + 1))),
-            (lambda g: exact_length_state(g, exp), exp, {exp}),
-            (lambda g: exact_length_state(g, 3), 3, {3}),
-            (lambda g: ReachState(g, 4, 0b10100), 4, {2, 4})):
+    for short, forbidden in ((True, set(range(1, exp + 1))), (False, {exp})):
         for _ in range(8):
-            state = make(group)
+            state = ReachState(group, short)
             prefix = []
             for _ in range(10):
                 g = rng.randrange(group.order)
                 oracle = brute_subsums(Sequence.from_indices(group, prefix + [g]))
-                clipped = {e: {L for L in lengths if L <= max_len}
+                clipped = {e: {L for L in lengths if L <= exp}
                            for e, lengths in oracle.items()}
                 accepted = state.try_push(g)
                 assert accepted == (not clipped[0] & forbidden)
                 if accepted:
                     prefix.append(g)
-                    assert unpack_negated_rows(state.stack[-1], group, max_len) == clipped
+                    assert unpack_negated_rows(state.stack[-1], group, exp) == clipped
             while prefix:
                 state.pop(prefix.pop())
             assert state.stack == [1]
