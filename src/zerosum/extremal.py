@@ -17,6 +17,7 @@ disjoint zero-sum subsequences cannot be forced over C_2 + C_2m + C_2m.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 
 from .engine import reach_table
@@ -36,9 +37,8 @@ from .sequences import Sequence
 class RankTwoParams:
     """Validated parameters (b1, b2, s, t, x, c) for the extremal families.
 
-    d is the order of the intersection of the two cyclic subgroups; the
-    pair is independent exactly when d = 1, and otherwise ell is the
-    unique unit with m*b1 = ell*m*(n/d)*b2.
+    d is the order of the intersection of the two cyclic subgroups, and
+    the pair is independent exactly when d = 1.
     """
 
     group: Group
@@ -51,7 +51,6 @@ class RankTwoParams:
     m: int
     n: int
     d: int
-    ell: int | None
 
     @property
     def independent(self) -> bool:
@@ -81,16 +80,7 @@ def rank_two_params(group: Group, b1, b2, *, s: int, t: int | None = None,
     d = inter.order
     if b1.order != m * d or n % d:
         raise InvalidInputError("ord(b1) incompatible with a generating pair")
-    ell = None
-    if d > 1:
-        step = (m * (n // d)) * b2
-        for cand in range(1, d):
-            if gcd(cand, d) == 1 and cand * step == m * b1:
-                ell = cand
-                break
-        if ell is None:
-            raise InvalidInputError("no unit ell with m*b1 = ell*m*(n/d)*b2")
-    return RankTwoParams(group, b1, b2, s, t, x, c, m, n, d, ell)
+    return RankTwoParams(group, b1, b2, s, t, x, c, m, n, d)
 
 
 def _eta_side_condition(p: RankTwoParams) -> bool:
@@ -176,40 +166,37 @@ def _generating_pairs(group: Group):
                 continue
 
 
-def eta_extremal_family(group: Group):
-    """Every multiset the eta parameterization produces, deduplicated."""
+def _family(group: Group, ts, cs, condition, build):
+    """The multisets ``build`` makes from every generating pair and every
+    s in [1, n], t in ``ts``, unit x in [1, m] and c in ``cs`` that meet
+    ``condition``, each mapped to the first parameters that give it."""
     m, n = rank_two_split(group)
     out = {}
     for base in _generating_pairs(group):
         for s in range(1, n + 1):
-            for x in range(1, m + 1):
-                if gcd(x, m) != 1:
-                    continue
-                p = replace(base, s=s, t=n, x=x, c=group.zero())
-                if not _eta_side_condition(p):
-                    continue
-                seq = build_eta_extremal(p)
-                out.setdefault(seq, p)
+            for t in ts:
+                for x in range(1, m + 1):
+                    if gcd(x, m) != 1:
+                        continue
+                    for c in cs:
+                        p = replace(base, s=s, t=t, x=x, c=c)
+                        if condition(p):
+                            out.setdefault(build(p), p)
     return out
+
+
+def eta_extremal_family(group: Group):
+    """Every multiset the eta parameterization produces, deduplicated; its
+    parameters are the s family's with t = n and c = 0."""
+    _, n = rank_two_split(group)
+    return _family(group, (n,), (group.zero(),), _eta_side_condition, build_eta_extremal)
 
 
 def s_extremal_family(group: Group):
     """Every multiset the s parameterization produces, deduplicated."""
-    m, n = rank_two_split(group)
-    out = {}
-    for base in _generating_pairs(group):
-        for s in range(1, n + 1):
-            for t in range(1, n + 1):
-                for x in range(1, m + 1):
-                    if gcd(x, m) != 1:
-                        continue
-                    for c in group.elements():
-                        p = replace(base, s=s, t=t, x=x, c=c)
-                        if not _s_side_condition(p):
-                            continue
-                        seq = build_s_extremal(p, warn_unknown_property_d=False)
-                        out.setdefault(seq, p)
-    return out
+    _, n = rank_two_split(group)
+    return _family(group, range(1, n + 1), group.elements(), _s_side_condition,
+                   partial(build_s_extremal, warn_unknown_property_d=False))
 
 
 # ---------------------------------------------------------------------------

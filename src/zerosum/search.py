@@ -24,7 +24,11 @@ from .engine import reach_push
 from .errors import InvalidInputError
 from .groups import Group, record
 
-ORBIT_PRUNING_MAX_ORDER = 1 << 8
+# A permutation of the elements of a group of order n <= 256 is a 256-byte
+# translation table that fixes n..255, so that p.translate(q), p followed
+# by q, runs in C; orbit pruning is capped by that table's size.
+_IDENTITY = bytes(range(256))
+ORBIT_PRUNING_MAX_ORDER = len(_IDENTITY)
 
 
 @record(frozen=True)
@@ -59,10 +63,6 @@ class DfsOutcome:
 # ---------------------------------------------------------------------------
 # Pointwise stabilisers in Aut(G)
 
-# A permutation of the elements of a group of order n <= 256 is a 256-byte
-# translation table that fixes n..255, so that p.translate(q), p followed
-# by q, runs in C.
-_IDENTITY = bytes(range(256))
 # consecutive random members of a group that leave the order of the chain
 # built so far unchanged before the group's order is declared unreachable;
 # each does with probability at most 1/2 while the chain is short of it
@@ -312,7 +312,8 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     the first witness attaining it, in preorder.  Enumerate mode calls
     ``emit`` with every surviving tuple of exactly ``target_length``
     elements.  ``restrict_prefix`` pins the first positions (an anchor,
-    or parallel splitting); ``resume`` continues from a checkpoint payload.
+    or parallel splitting); ``resume`` continues from a checkpoint payload,
+    refused unless this search could have written it.
 
     Orbit pruning (``orbit_pruning``, for 1 < |G| <= 256) is for maximize
     mode only.  It keeps the first element and the first pair among the
@@ -439,12 +440,18 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     cursors = [0]
     masks = [allowed(0)]                # parallel to cursors
     if resume is not None:
+        # a path element is one its frame offered from the frame's start on;
+        # each frame below the top sits just past it, the top at or past it
+        refused = InvalidInputError("checkpoint does not replay against this search")
         for g in resume["path"]:
-            if not state.try_push(g):
-                raise InvalidInputError("checkpoint does not replay against this search")
+            if g < cursors[-1] or not (masks[-1] >> g) & 1 or not state.try_push(g):
+                raise refused
             path.append(g)
             descend(g)
-        cursors = list(resume["cursors"])
+        stored = list(resume["cursors"])
+        if stored[:-1] != [g + 1 for g in path] or stored[-1:] < cursors[-1:]:
+            raise refused
+        cursors = stored
         best = resume["best"]
         witness = list(resume["witness"]) if resume.get("witness") is not None else None
         nodes = resume["nodes"]
@@ -568,21 +575,20 @@ class ReachState:
 
     With ``last``, slack() is the multiplicity bound of ``dfs_run``: h^L
     is a zero-sum of length L when ord(h) divides L, and ord(h) divides
-    exp(G), so h has at most ``cap[h]`` copies, ord(h) - 1 when short and
-    exp(G) - 1 otherwise.  ``after[last]`` pairs each nonzero cap c with
-    the mask of the h > last whose cap is c, and the bound counts those
-    left open.  The bound is built on the first such query, in O(|G|)
-    steps.
+    exp(G), so h has at most cap(h) copies, ord(h) - 1 when short and
+    exp(G) - 1 otherwise.  ``classes`` pairs each nonzero cap c with the
+    mask of the h whose cap is c, built with the state in O(|G|) steps,
+    and the bound is the sum of c times the open h >= last in each class,
+    less the ``run`` copies of ``last`` when it is still open.
     """
 
-    __slots__ = ("group", "short", "rows", "keep", "full", "refused",
-                 "lowest", "folds", "neg", "stack", "opens", "cap", "after")
+    __slots__ = ("group", "rows", "keep", "full", "refused",
+                 "lowest", "folds", "neg", "stack", "opens", "classes")
 
     def __init__(self, group: Group, short: bool):
         n = group.order
         exp = group.exponent
         self.group = group
-        self.short = short
         self.rows = exp + 1
         self.keep = (1 << (n * exp)) - 1         # every row but the top
         self.full = (1 << n) - 1
@@ -598,7 +604,12 @@ class ReachState:
         # the empty table holds length 0 at 0 alone: it refuses 0 when row
         # 0 is refused
         self.opens = [self.full & ~(self.refused & 1)]
-        self.cap = None                    # the bound's fields, built on demand
+        classes = {}
+        for h in range(n):
+            cap = group.order_of_index(h) - 1 if short else exp - 1
+            if cap:
+                classes[cap] = classes.get(cap, 0) | 1 << h
+        self.classes = tuple(classes.items())
 
     def try_push(self, g: int) -> bool:
         if not (self.opens[-1] >> g) & 1:
@@ -622,26 +633,8 @@ class ReachState:
     def slack(self, last=None, run=0):
         if last is None:
             return None
-        if self.cap is None:
-            self._build_bound()
-        free = self.opens[-1]
-        extra = 0
-        for c, m in self.after[last]:
+        free = self.opens[-1] >> last << last
+        extra = -run if (free >> last) & 1 else 0
+        for c, m in self.classes:
             extra += c * (m & free).bit_count()
-        if (free >> last) & 1:
-            extra += self.cap[last] - run
         return extra
-
-    def _build_bound(self):
-        group = self.group
-        n = group.order
-        if self.short:
-            self.cap = [group.order_of_index(h) - 1 for h in range(n)]
-        else:
-            self.cap = [group.exponent - 1] * n
-        classes = dict.fromkeys(sorted(set(self.cap) - {0}), 0)
-        self.after = [None] * n
-        for h in reversed(range(n)):
-            self.after[h] = tuple(classes.items())
-            if self.cap[h]:
-                classes[self.cap[h]] |= 1 << h

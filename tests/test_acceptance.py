@@ -188,7 +188,7 @@ def _s_family_c0(group):
                     if gcd(x, m) != 1:
                         continue
                     p = RankTwoParams(group, base.b1, base.b2, s, t, x,
-                                      group.zero(), m, n, base.d, base.ell)
+                                      group.zero(), m, n, base.d)
                     if not _s_side_condition(p):
                         continue
                     out.setdefault(build_s_extremal(p, warn_unknown_property_d=False), p)
@@ -226,7 +226,7 @@ def test_criterion_2_witness_verification_beyond_search():
                     c = group.element(c_idx)
                     shifted = RankTwoParams(group, params.b1, params.b2,
                                             params.s, params.t, params.x, c,
-                                            params.m, params.n, params.d, params.ell)
+                                            params.m, params.n, params.d)
                     built = build_s_extremal(shifted, warn_unknown_property_d=False)
                     assert built == seq.translate(c)
                     assert has_zero_sum_of_length(built, exp) == \
@@ -238,8 +238,7 @@ def test_criterion_2_witness_verification_beyond_search():
                         shifted = RankTwoParams(group, params.b1, params.b2,
                                                 params.s, params.t, params.x,
                                                 group.element(c_idx),
-                                                params.m, params.n, params.d,
-                                                params.ell)
+                                                params.m, params.n, params.d)
                         built = build_s_extremal(shifted,
                                                  warn_unknown_property_d=False)
                         assert not has_zero_sum_of_length(built, exp)

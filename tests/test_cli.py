@@ -163,10 +163,18 @@ def _set_search_field(key, value):
     _set_search_field("witness", 5),
     _set_search_field("witness", [999]),
     _set_search_field("witness", [0, "1"]),
+    # the stored search is path [1, 2, 4] with cursors [2, 3, 5, 11]
+    lambda stored: json.dumps({**stored, "search": {
+        **stored["search"], "path": [1, 4, 2], "cursors": [2, 5, 3, 11]}}),
+    lambda stored: json.dumps({**stored, "search": {
+        **stored["search"], "path": [1, 3, 4], "cursors": [2, 4, 5, 11]}}),
+    _set_search_field("cursors", [2, 3, 4, 11]),
+    _set_search_field("cursors", [2, 3, 5, 0]),
 ], ids=["not-json", "not-an-object", "path-out-of-range", "no-cursors",
         "best-null", "best-string", "best-negative", "nodes-null", "nodes-bool",
         "slack-prunes-string", "witness-int", "witness-out-of-range",
-        "witness-string-term"])
+        "witness-string-term", "path-decreasing", "path-not-offered",
+        "frame-cursor-not-past-path", "top-cursor-below-path"])
 def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
     # exit 1 would claim a falsified verification
     ck = tmp_path / "ck.json"
@@ -175,6 +183,7 @@ def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
     assert code == 2
     stored = json.loads(ck.read_text())
     assert stored["search"]["witness"]        # the corruptions replace a real witness
+    assert (stored["search"]["path"], stored["search"]["cursors"]) == ([1, 2, 4], [2, 3, 5, 11])
     ck.write_text(corrupt(stored))
     code = main(args + ["--resume"])
     assert code == 64

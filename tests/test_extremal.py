@@ -47,7 +47,7 @@ def test_params_validation():
 
     # dependent pair: ord(b1) = 4 with 2*b1 = 2*b2
     p = rank_two_params(h, h.element([1, 1]), b2, s=2)
-    assert p.d == 2 and p.ell == 1
+    assert p.d == 2 and not p.independent
 
     with pytest.raises(InvalidInputError):
         rank_two_params(h, b1, h.element([1, 0]), s=1)   # ord(b2) != 4

@@ -22,7 +22,7 @@ from zerosum.search import (
 )
 from zerosum.invariants import search_state
 
-from conftest import brute_subsums, unpack_negated_rows
+from conftest import _element_orders, brute_subsums, unpack_negated_rows
 
 BRUTE_FORCE_GROUPS = [
     [2], [3], [4], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8], [3, 6],
@@ -228,6 +228,25 @@ def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
                 emit=[].append, orbit_pruning=True)
 
 
+@pytest.mark.parametrize("path, cursors, pinned", [
+    ([1, 4, 2], [2, 5, 3, 2], None),
+    ([2, 4], [3, 5, 4], [1]),
+    ([1, 2, 4], [2, 3, 4, 4], None),
+    ([1, 2, 4], [2, 3, 5, 3], None),
+], ids=["path-decreasing", "path-not-pinned", "frame-cursor-not-past-path",
+        "top-cursor-below-path"])
+def test_resume_refuses_what_dfs_run_never_writes(path, cursors, pinned):
+    """Without orbit pruning every element is offered (or the pinned one),
+    so a checkpoint's path must be non-decreasing, every frame's cursor
+    just past its element and the top cursor at least the last one."""
+    group = make_group([2, 2, 4])
+    written = dfs_run(group, search_state(group, "eta"), budget=Budget(max_nodes=30),
+                      restrict_prefix=pinned).checkpoint
+    with pytest.raises(InvalidInputError, match="does not replay"):
+        dfs_run(group, search_state(group, "eta"), restrict_prefix=pinned,
+                resume={**written, "path": path, "cursors": cursors})
+
+
 @pytest.mark.parametrize("factors", [[7], [2, 6], [4, 4], [2, 2, 4], [2, 2, 2, 2]], ids=str)
 def test_reach_state_tables_match_brute_subsums(factors):
     """Every table on the stack of a short-zero-sum (eta) or exp-length (s)
@@ -358,9 +377,13 @@ def test_slack_bounds_every_extension(factors, kind):
     """On random valid non-decreasing prefixes, the depth bound a state
     gives ``dfs_run`` under orbit pruning is at least the longest valid
     extension by terms no smaller than the last, found by exhaustive
-    search over sets."""
+    search over sets.  It is exactly |G| - 1 - |sums| for D, and for eta
+    and s the sum of cap(h) over the h >= last that can still be
+    appended, less the copies of ``last`` when it is one of them."""
     group = make_group(factors)
     grow, longest = brute_extension(group, kind)
+    caps = [_element_orders(group, [h])[0] - 1 if kind == "eta" else group.exponent - 1
+            for h in range(group.order)]
     rng = random.Random(f"{factors}{kind}")
     for _ in range(25):
         state = search_state(group, kind)
@@ -373,8 +396,14 @@ def test_slack_bounds_every_extension(factors, kind):
             h, sums = rng.choice(options)
             assert state.try_push(h)
             prefix.append(h)
-        last = prefix[-1]
-        assert state.slack(last, prefix.count(last)) >= longest(sums, last), prefix
+        last, run = prefix[-1], prefix.count(prefix[-1])
+        slack = state.slack(last, run)
+        assert slack >= longest(sums, last), prefix
+        if kind == "d":
+            assert slack == group.order - 1 - len(sums), prefix
+        else:
+            free = [h for h in range(last, group.order) if grow(sums, h) is not None]
+            assert slack == sum(caps[h] for h in free) - (run if last in free else 0), prefix
 
 
 def brute_orbit_minima(group, length, anchored):
