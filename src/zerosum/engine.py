@@ -47,17 +47,16 @@ def _zero_column(order: int, max_len: int) -> int:
     return sum(1 << (L * order) for L in range(1, max_len + 1))
 
 
-def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Group = None):
+def _suffix_tables(group: Group, mult, max_len: int, hom=None):
     """The support of ``mult`` and the packed tables of its tails.
 
     ``tables[k]`` is the table of the sub-multiset on ``support[k:]``, so
-    ``tables[0]`` covers the whole multiset.  With ``hom`` the sums live in
-    ``image_group``.  Each copy of an element is one monotone step, so
-    multiplicities are respected exactly; a copy that adds nothing ends
-    its element, since every later copy would add nothing too.
+    ``tables[0]`` covers the whole multiset.  The sums live in ``group``,
+    and with ``hom`` a copy of g adds ``hom[g]``.  Each copy of an element is
+    one monotone step, so multiplicities are respected exactly; a copy that
+    adds nothing ends its element, since every later copy adds nothing too.
     """
-    target = image_group if hom is not None else group
-    keep = (1 << (target.order * max_len)) - 1
+    keep = (1 << (group.order * max_len)) - 1
     rows = max_len + 1
     support = [g for g, v in enumerate(mult) if v]
     table = 1
@@ -65,7 +64,7 @@ def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Grou
     for g in reversed(support):
         img = hom[g] if hom is not None else g
         for _ in range(mult[g]):
-            new = reach_push(target, table, img, keep, rows)
+            new = reach_push(group, table, img, keep, rows)
             if new == table:
                 break
             table = new
@@ -74,9 +73,9 @@ def _suffix_tables(group: Group, mult, max_len: int, hom=None, image_group: Grou
     return support, tables
 
 
-def _reach_masks(group: Group, mult, max_len: int, hom=None, image_group: Group = None) -> int:
+def _reach_masks(group: Group, mult, max_len: int, hom=None) -> int:
     """Packed reach table of the whole multiset (see the module docstring)."""
-    return _suffix_tables(group, mult, max_len, hom, image_group)[1][0]
+    return _suffix_tables(group, mult, max_len, hom)[1][0]
 
 
 def _bits(mask: int) -> set:
@@ -136,28 +135,27 @@ def has_zero_sum_of_length(seq: Sequence, k: int) -> bool:
 # ---------------------------------------------------------------------------
 # Witness extraction
 
-def extract_lex_smallest(group: Group, mult, length: int, target: int,
-                         hom=None, image_group: Group = None):
+def extract_lex_smallest(group: Group, mult, length: int, target: int, hom=None):
     """Lexicographically smallest sorted index tuple of a sub-multiset of
-    the given length whose (projected) sum is ``target``, or None.
+    the given length whose (projected) sum is ``target``, or None; the
+    sums live in ``group`` (see ``_suffix_tables``).
 
     Greedy on the smallest support element with a suffix-feasibility table,
     so the result is deterministic.
     """
-    target_group = image_group if hom is not None else group
-    support, suffix = _suffix_tables(group, mult, length, hom, image_group)
-    if not (suffix[0] >> (length * target_group.order + target)) & 1:
+    support, suffix = _suffix_tables(group, mult, length, hom)
+    if not (suffix[0] >> (length * group.order + target)) & 1:
         return None
-    return _lex_smallest_walk(target_group, mult, support, suffix, length, target, hom)
+    return _lex_smallest_walk(group, mult, support, suffix, length, target, hom)
 
 
-def _lex_smallest_walk(target_group: Group, mult, support, suffix, length: int, target: int,
+def _lex_smallest_walk(group: Group, mult, support, suffix, length: int, target: int,
                        hom=None):
     """The greedy walk of ``extract_lex_smallest`` on suffix tables that
     ``_suffix_tables`` built with any ``max_len >= length``."""
-    n = target_group.order
-    neg = target_group.neg_table()
-    add = target_group.add_index
+    n = group.order
+    neg = group.neg_table()
+    add = group.add_index
     chosen = []
     remaining = length
     for k, g in enumerate(support):
@@ -430,11 +428,11 @@ def inductive_partition(seq: Sequence, sub: Subgroup) -> InductivePartition:
     blocks = []
     while remaining:
         cap = min(bound, remaining)
-        zero = _reach_masks(group, work, cap, hom, target) & _zero_column(target.order, cap)
+        zero = _reach_masks(target, work, cap, hom) & _zero_column(target.order, cap)
         if not zero:
             break
         shortest = ((zero & -zero).bit_length() - 1) // target.order
-        picked = extract_lex_smallest(group, work, shortest, 0, hom, target)
+        picked = extract_lex_smallest(target, work, shortest, 0, hom)
         blocks.append(Sequence.from_indices(group, picked))
         for i in picked:
             work[i] -= 1

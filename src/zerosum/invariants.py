@@ -315,8 +315,10 @@ def compute(group: Group, kind: str, k: int | None = None,
     The s property is translation invariant, so its search pins 0 as the
     smallest element; every extremal translation class has such a
     representative, and orbit pruning may use the translations.
-    ``restrict_prefix`` pins the positions after that anchor.  The
-    witness is re-verified against the property.
+    ``restrict_prefix`` pins the positions after that anchor, and
+    ``resume`` continues a partial result's ``checkpoint`` (``dfs_run``
+    refuses one it could not have written).  The witness is re-verified
+    against the property.
     """
     anchor = [0] if kind == KIND_S else []
     out = dfs_run(group, search_state(group, kind, k), budget=budget,

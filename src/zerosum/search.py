@@ -10,7 +10,7 @@ maximise searches (the first two positions, and every later position
 through a chain of pointwise stabilisers, with the gates and run caps of
 lex-least prefixes), the cut of subtrees that the depth bound shows
 cannot beat the best or reach the target length, node/time budgets, and
-resumable checkpoints (the serialized cursor stack).
+resumable checkpoints (the path and its top frame's next candidate).
 """
 
 from __future__ import annotations
@@ -312,8 +312,9 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     the first witness attaining it, in preorder.  Enumerate mode calls
     ``emit`` with every surviving tuple of exactly ``target_length``
     elements.  ``restrict_prefix`` pins the first positions (an anchor,
-    or parallel splitting); ``resume`` continues from a checkpoint payload,
-    refused unless this search could have written it.
+    or parallel splitting).  A budget stops it with a checkpoint (the path,
+    ``next``, the top frame's next candidate, the witness, ``nodes`` and
+    ``slack_prunes``) that ``resume`` continues, refused unless it replays.
 
     Orbit pruning (``orbit_pruning``, for 1 < |G| <= 256) is for maximize
     mode only.  It keeps the first element and the first pair among the
@@ -424,7 +425,6 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 
     def descend(g):
         """Open the frame below the element g just pushed onto the path."""
-        cursors.append(g)
         if prune:
             if runs and runs[-1][0] == g:
                 runs[-1][1] += 1
@@ -437,25 +437,36 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
                              node.at_least(g) & (runs[-1][5] if runs else full)])
         masks.append(allowed(len(path)))
 
-    cursors = [0]
-    masks = [allowed(0)]                # parallel to cursors
+    cursor = 0                          # the top frame's next candidate
+    masks = [allowed(0)]                # one per open frame
     if resume is not None:
-        # a path element is one its frame offered from the frame's start on;
-        # each frame below the top sits just past it, the top at or past it
+        # the witness, then the path, replays: each term at or above the one
+        # before it and accepted, each path term offered by its frame
         refused = InvalidInputError("checkpoint does not replay against this search")
-        for g in resume["path"]:
-            if g < cursors[-1] or not (masks[-1] >> g) & 1 or not state.try_push(g):
+        keys = ("path", "next", "witness", "nodes", "slack_prunes")
+        if not (isinstance(resume, dict) and resume.keys() == set(keys)):
+            raise refused
+        stored, cursor, witness, nodes, slack_prunes = (resume[key] for key in keys)
+        if not (isinstance(stored, list) and cursor in range(n + 1)
+                and all(type(c) is int and c >= 0 for c in (cursor, nodes, slack_prunes))
+                and (isinstance(witness, list) and len(witness) >= len(stored) if maximize
+                     else witness is None)):
+            raise refused
+        shown = witness or []
+        best = len(shown)
+        for g, low in zip(shown, [0] + shown):
+            if type(g) is not int or not low <= g < n or not state.try_push(g):
+                raise refused
+        for g in reversed(shown):
+            state.pop(g)
+        for g, low in zip(stored, [0] + stored):
+            if type(g) is not int or g < low or not (masks[-1] >> g) & 1 \
+                    or not state.try_push(g):
                 raise refused
             path.append(g)
             descend(g)
-        stored = list(resume["cursors"])
-        if stored[:-1] != [g + 1 for g in path] or stored[-1:] < cursors[-1:]:
+        if cursor < (path[-1] if path else 0):
             raise refused
-        cursors = stored
-        best = resume["best"]
-        witness = list(resume["witness"]) if resume.get("witness") is not None else None
-        nodes = resume["nodes"]
-        slack_prunes = resume["slack_prunes"]
     start_nodes = nodes
 
     status = "complete"
@@ -463,33 +474,28 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     max_nodes = budget.max_nodes if budget else None
     max_seconds = budget.max_seconds if budget else None
 
-    while cursors:
-        g = cursors[-1]
-        rest = masks[-1] >> g
+    while masks:
+        rest = masks[-1] >> cursor
         if not rest:
-            cursors.pop()
             masks.pop()
             if prune and path:
                 runs[-1][1] -= 1
                 if not runs[-1][1]:
                     runs.pop()
             if path:
+                cursor = path[-1] + 1
                 state.pop(path.pop())
             continue
-        g += (rest & -rest).bit_length() - 1
+        g = cursor + (rest & -rest).bit_length() - 1
         # budgets are per run; stats and checkpoints stay cumulative
         if (max_nodes is not None and nodes - start_nodes >= max_nodes) or \
            (max_seconds is not None and nodes % 1024 == 0
                 and time.perf_counter() - started > max_seconds):
-            cursors[-1] = g
-            checkpoint = {
-                "path": list(path), "cursors": list(cursors),
-                "best": best, "witness": witness, "nodes": nodes,
-                "slack_prunes": slack_prunes,
-            }
+            checkpoint = {"path": list(path), "next": g, "witness": witness,
+                          "nodes": nodes, "slack_prunes": slack_prunes}
             status = "partial"
             break
-        cursors[-1] = g + 1
+        cursor = g + 1
         nodes += 1
         if not state.try_push(g):
             continue
@@ -513,6 +519,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             state.pop(path.pop())
             continue
         descend(g)
+        cursor = g
 
     stats = SearchStats(nodes, time.perf_counter() - started, slack_prunes)
     return DfsOutcome(best, witness, stats, status, checkpoint)

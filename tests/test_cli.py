@@ -135,8 +135,8 @@ def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
                        "--budget-nodes", "300", "--checkpoint", str(ck)], capsys)
     assert code == 2
     stored = json.loads(ck.read_text())
-    assert stored["job"]["version"] == 8
-    stored["job"]["version"] = 7
+    assert stored["job"]["version"] == 9
+    stored["job"]["version"] = 8
     ck.write_text(json.dumps(stored))
     code = main(["constant", "--group", "2,2,6", "--kind", "eta",
                  "--checkpoint", str(ck), "--resume"])
@@ -153,28 +153,28 @@ def _set_search_field(key, value):
     lambda stored: "[1, 2]",
     _set_search_field("path", [999]),
     lambda stored: json.dumps({**stored, "search": {
-        key: value for key, value in stored["search"].items() if key != "cursors"}}),
-    _set_search_field("best", None),
-    _set_search_field("best", "x"),
-    _set_search_field("best", -1),
+        key: value for key, value in stored["search"].items() if key != "next"}}),
+    _set_search_field("next", None),
+    _set_search_field("next", 17),
+    _set_search_field("witness", None),
+    _set_search_field("witness", [1, 2]),
     _set_search_field("nodes", None),
     _set_search_field("nodes", True),
     _set_search_field("slack_prunes", "a"),
     _set_search_field("witness", 5),
     _set_search_field("witness", [999]),
-    _set_search_field("witness", [0, "1"]),
-    # the stored search is path [1, 2, 4] with cursors [2, 3, 5, 11]
-    lambda stored: json.dumps({**stored, "search": {
-        **stored["search"], "path": [1, 4, 2], "cursors": [2, 5, 3, 11]}}),
-    lambda stored: json.dumps({**stored, "search": {
-        **stored["search"], "path": [1, 3, 4], "cursors": [2, 4, 5, 11]}}),
-    _set_search_field("cursors", [2, 3, 4, 11]),
-    _set_search_field("cursors", [2, 3, 5, 0]),
-], ids=["not-json", "not-an-object", "path-out-of-range", "no-cursors",
-        "best-null", "best-string", "best-negative", "nodes-null", "nodes-bool",
-        "slack-prunes-string", "witness-int", "witness-out-of-range",
-        "witness-string-term", "path-decreasing", "path-not-offered",
-        "frame-cursor-not-past-path", "top-cursor-below-path"])
+    _set_search_field("witness", [1, 2, "4"]),
+    # the stored search is path [1, 2, 4] with next 11
+    _set_search_field("path", [1, 4, 2]),
+    _set_search_field("path", [1, 3, 4]),
+    _set_search_field("next", 3),
+    _set_search_field("witness", [0, 0, 0]),
+    _set_search_field("witness", [4, 2, 1]),
+], ids=["not-json", "not-an-object", "path-out-of-range", "no-next",
+        "next-null", "next-out-of-range", "witness-null", "witness-shorter-than-path",
+        "nodes-null", "nodes-bool", "slack-prunes-string", "witness-int",
+        "witness-out-of-range", "witness-string-term", "path-decreasing",
+        "path-not-offered", "next-below-path", "witness-refused", "witness-decreasing"])
 def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
     # exit 1 would claim a falsified verification
     ck = tmp_path / "ck.json"
@@ -182,8 +182,9 @@ def test_resume_refuses_malformed_checkpoint(capsys, tmp_path, corrupt):
     code, _ = run_cli(args + ["--budget-nodes", "30"], capsys)
     assert code == 2
     stored = json.loads(ck.read_text())
+    assert sorted(stored["search"]) == ["next", "nodes", "path", "slack_prunes", "witness"]
     assert stored["search"]["witness"]        # the corruptions replace a real witness
-    assert (stored["search"]["path"], stored["search"]["cursors"]) == ([1, 2, 4], [2, 3, 5, 11])
+    assert (stored["search"]["path"], stored["search"]["next"]) == ([1, 2, 4], 11)
     ck.write_text(corrupt(stored))
     code = main(args + ["--resume"])
     assert code == 64

@@ -257,7 +257,7 @@ def test_projected_reach_table_matches_brute_subsums():
                 projected[qm.table[i]] += v
             oracle = brute_subsums(Sequence(image, projected))
             for max_len in (image.exponent, len(seq)):
-                table = _reach_masks(group, seq.mult, max_len, qm.table, image)
+                table = _reach_masks(image, seq.mult, max_len, qm.table)
                 assert unpack_table(table, image.order, max_len) == \
                     {e: {L for L in lengths if L <= max_len} for e, lengths in oracle.items()}
 
@@ -279,8 +279,8 @@ def test_extract_lex_smallest_against_brute_force(factors):
             for length in range(len(seq) + 2):
                 target = rng.randrange(image.order)
                 expected = brute_lex_smallest(group, seq.mult, length, target, hom, image)
-                assert extract_lex_smallest(group, list(seq.mult), length, target,
-                                            hom, image) == expected, (seq, sub, length, target)
+                assert extract_lex_smallest(image, list(seq.mult), length, target,
+                                            hom) == expected, (seq, sub, length, target)
                 found += expected is not None
     assert found > 100
 

@@ -1,5 +1,6 @@
 """The README's library tour runs as written and gives the values its
 comments state; its command-line block runs and exits as README says; the
+checkpoint format version it states is the one the CLI writes; the
 package needs nothing beyond the standard library, as README says."""
 
 import ast
@@ -9,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from zerosum.cli import main
+from zerosum.cli import CHECKPOINT_VERSION, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "zerosum"
@@ -48,6 +49,12 @@ def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == expected, argv
         capsys.readouterr()
     assert (tmp_path / "ck.json").exists() and (tmp_path / "tables.csv").exists()
+
+
+def test_readme_states_the_checkpoint_format_version():
+    text = README.read_text(encoding="utf-8")
+    stated = re.findall(r"checkpoint\s+format\s+version\s+\((\d+)", text)
+    assert stated == [str(CHECKPOINT_VERSION)]
 
 
 def test_package_imports_only_the_standard_library():

@@ -3,7 +3,8 @@ pointwise stabilisers against the brute-force list of automorphisms, and
 above its cap against an orbit sweep under the generators and
 hand-derived orbits.  The packed subsum tables of the search
 states against brute-force subsums, and their depth bounds against
-exhaustive extension."""
+exhaustive extension.  Searches stopped on a budget and resumed against
+uninterrupted ones, and the checkpoints a resume refuses."""
 
 import collections
 import functools
@@ -228,23 +229,79 @@ def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
                 emit=[].append, orbit_pruning=True)
 
 
-@pytest.mark.parametrize("path, cursors, pinned", [
-    ([1, 4, 2], [2, 5, 3, 2], None),
-    ([2, 4], [3, 5, 4], [1]),
-    ([1, 2, 4], [2, 3, 4, 4], None),
-    ([1, 2, 4], [2, 3, 5, 3], None),
-], ids=["path-decreasing", "path-not-pinned", "frame-cursor-not-past-path",
-        "top-cursor-below-path"])
-def test_resume_refuses_what_dfs_run_never_writes(path, cursors, pinned):
+@pytest.mark.parametrize("path, next, pinned", [
+    ([1, 4, 2], 2, None),
+    ([2, 4], 4, [1]),
+    ([1, 2, 4], 3, None),
+], ids=["path-decreasing", "path-not-pinned", "top-cursor-below-path"])
+def test_resume_refuses_what_dfs_run_never_writes(path, next, pinned):
     """Without orbit pruning every element is offered (or the pinned one),
-    so a checkpoint's path must be non-decreasing, every frame's cursor
-    just past its element and the top cursor at least the last one."""
+    so a checkpoint's path must be non-decreasing and its ``next``, the
+    top frame's cursor, at least the last path element."""
     group = make_group([2, 2, 4])
     written = dfs_run(group, search_state(group, "eta"), budget=Budget(max_nodes=30),
                       restrict_prefix=pinned).checkpoint
     with pytest.raises(InvalidInputError, match="does not replay"):
         dfs_run(group, search_state(group, "eta"), restrict_prefix=pinned,
-                resume={**written, "path": path, "cursors": cursors})
+                resume={**written, "path": path, "next": next})
+
+
+def _resumed(run, max_nodes):
+    """``run(budget, resume)`` stopped every ``max_nodes`` nodes and resumed
+    from its checkpoint until it completes."""
+    out = run(Budget(max_nodes=max_nodes), None)
+    while out.status == "partial":
+        out = run(Budget(max_nodes=max_nodes), out.checkpoint)
+    return out
+
+
+@pytest.mark.parametrize("factors, kind, k, pinned, nodes", [
+    ([2, 2, 4], "eta", None, None, 70),
+    ([2, 2, 4], "d", None, None, 54),
+    ([2, 2, 2], "dk", 3, None, 174),
+    ([2, 2, 4], "s", None, [0], 188),
+], ids=["eta-2-2-4", "d-2-2-4", "d3-2-2-2", "s-2-2-4"])
+def test_resume_anywhere_reaches_the_uninterrupted_search(factors, kind, k, pinned, nodes):
+    """An orbit-pruned search stopped at every budget b and resumed with b
+    again until it completes ends as the uninterrupted run does."""
+    group = make_group(factors)
+
+    def run(budget, resume):
+        return dfs_run(group, search_state(group, kind, k), budget=budget, orbit_pruning=True,
+                       resume=resume, restrict_prefix=pinned, translations=bool(pinned))
+
+    full = run(None, None)
+    assert full.stats.nodes == nodes
+    for max_nodes in range(1, nodes + 1):
+        out = _resumed(run, max_nodes)
+        assert (out.best, out.witness, out.stats.nodes, out.stats.slack_prunes) == \
+            (full.best, full.witness, full.stats.nodes, full.stats.slack_prunes), max_nodes
+
+
+def test_resume_anywhere_keeps_an_enumeration():
+    """The length-6 s enumeration of C2 x C4, stopped at Fibonacci budgets,
+    emits the uninterrupted run's tuples in the same order; its checkpoint
+    holds no witness."""
+    group = make_group([2, 4])
+
+    def run(budget, resume):
+        return dfs_run(group, search_state(group, "s"), target_length=6, emit=emitted.append,
+                       budget=budget, resume=resume)
+
+    emitted = []
+    full = run(None, None)
+    expected, emitted = emitted, []
+    assert (full.stats.nodes, len(expected)) == (1619, 336)
+    a, b = 1, 2
+    while a <= 987:
+        out = _resumed(run, a)
+        assert (emitted, out.stats.nodes, out.best, out.witness) == (expected, 1619, 0, None), a
+        emitted = []
+        a, b = b, a + b
+    # an enumeration keeps no witness
+    stopped = run(Budget(max_nodes=100), None).checkpoint
+    with pytest.raises(InvalidInputError, match="does not replay"):
+        run(None, {**stopped, "witness": []})
 
 
 @pytest.mark.parametrize("factors", [[7], [2, 6], [4, 4], [2, 2, 4], [2, 2, 2, 2]], ids=str)
