@@ -3,7 +3,8 @@
 Exit codes: 0 = completed and every internal verification passed;
 1 = a verification falsified (classification mismatch, witness failure,
 missing certificate); 2 = budget exhausted, partial results written;
-64 = malformed invocation.
+64 = malformed invocation; 74 = standard output closed before the
+report was written (a broken pipe).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+EXIT_IO = 74
 
 SCHEMA_VERSION = 1
 # Part of a checkpoint's job key; bump it when the stored format changes or
@@ -46,8 +48,10 @@ SCHEMA_VERSION = 1
 # (rebuilt on resume by replaying the path); version 6 skips the pushes the
 # D state refuses, so D node counts fall; version 7 drops the multiplicity
 # bound of D, which prunes by its subsum count alone; version 8 skips the
-# pushes the eta and s states refuse; version 9 stores one cursor, no best.
-CHECKPOINT_VERSION = 9
+# pushes the eta and s states refuse; version 9 stores one cursor, no best;
+# version 10 bounds the D_k depth by D(G) and skips the pushes the D_k
+# state refuses, so D_k trees shrink.
+CHECKPOINT_VERSION = 10
 
 
 class _Parser(argparse.ArgumentParser):
@@ -495,10 +499,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (InvalidInputError, CapacityError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone: what is left in stdout goes to devnull, so
+        # that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

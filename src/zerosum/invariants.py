@@ -25,6 +25,7 @@ from .search import (
     ReachState,
     SearchStats,
     dfs_run,
+    orbit_pruning_applies,
 )
 from .sequences import Sequence
 
@@ -177,14 +178,23 @@ class _DkState:
     decides the lift, with a memo of its sub-decisions kept across the
     whole search.  Both decisions are exact, so the search tree does not
     depend on which one decided.
+
+    So open() leaves every push open below count k - 1, and at k - 1 the
+    g whose bit in ``tables[k - 1]`` is clear, the pushes that keep the
+    count below k (None past the table cap).  With ``davenport``, D(G),
+    slack() bounds the depth: the terms that follow the prefix hold at
+    most k - 1 - c disjoint zero-sums, and any j * D(G) terms hold j of
+    them, so at most (k - c) * D(G) - 1 terms follow.
     """
 
-    __slots__ = ("group", "k", "mult", "neg", "sums", "counts", "levels", "reach",
-                 "shifts", "memo")
+    __slots__ = ("group", "k", "davenport", "full", "mult", "neg", "sums", "counts",
+                 "levels", "reach", "shifts", "memo")
 
-    def __init__(self, group: Group, k: int):
+    def __init__(self, group: Group, k: int, davenport: int | None = None):
         self.group = group
         self.k = k
+        self.davenport = davenport
+        self.full = (1 << group.order) - 1
         self.mult = [0] * group.order
         self.neg = group.neg_table()
         self.sums = [1]
@@ -274,22 +284,33 @@ class _DkState:
         self.reach.pop()
 
     def open(self):
+        """Bitmask of the g that try_push would accept, or None past the
+        table cap."""
+        count = self.counts[-1]
+        if count < self.k - 1:
+            return self.full
+        if count < self.levels:
+            return self.full & ~self._tables()[count]
         return None
 
     def slack(self, last=None, run=0):
-        return None
+        if last is None or self.davenport is None:
+            return None
+        return (self.k - self.counts[-1]) * self.davenport - 1
 
 
-def search_state(group: Group, kind: str, k: int | None = None):
+def search_state(group: Group, kind: str, k: int | None = None,
+                 davenport: int | None = None):
     """The DFS state of a kind's search: it refuses exactly the pushes that
     give the prefix the kind's property (a non-empty zero-sum for d, k
     disjoint ones for dk, a short one for eta, one of length exp(G) for s).
+    ``davenport``, D(G), gives the dk state its depth bound.
     """
     _check_kind(kind, k)
     if kind == KIND_D:
         return DavenportState(group)
     if kind == KIND_DK:
-        return _DkState(group, k)
+        return _DkState(group, k, davenport)
     return ReachState(group, kind == KIND_ETA)
 
 
@@ -319,12 +340,27 @@ def compute(group: Group, kind: str, k: int | None = None,
     ``resume`` continues a partial result's ``checkpoint`` (``dfs_run``
     refuses one it could not have written).  The witness is re-verified
     against the property.
+
+    A dk search with k >= 2 under orbit pruning first runs an orbit-pruned
+    D search, to completion and outside the budget, for the D(G) of its
+    depth bound; that tree is the count-0 part of the dk tree.  Its nodes
+    and slack prunes count in the returned ``stats``, not in the
+    checkpoint, so a resumed search ends at the total of an uninterrupted
+    one.
     """
+    _check_kind(kind, k)
     anchor = [0] if kind == KIND_S else []
-    out = dfs_run(group, search_state(group, kind, k), budget=budget,
-                  orbit_pruning=orbit_pruning, resume=resume,
+    first = None
+    if kind == KIND_DK and k > 1 and orbit_pruning and orbit_pruning_applies(group):
+        first = dfs_run(group, DavenportState(group), orbit_pruning=True)
+    out = dfs_run(group, search_state(group, kind, k, first.best + 1 if first else None),
+                  budget=budget, orbit_pruning=orbit_pruning, resume=resume,
                   restrict_prefix=anchor + list(restrict_prefix or ()),
                   translations=bool(anchor))
+    if first is not None:
+        out.stats.nodes += first.stats.nodes
+        out.stats.seconds += first.stats.seconds
+        out.stats.slack_prunes += first.stats.slack_prunes
     witness = Sequence.from_indices(group, out.witness) if out.witness is not None else None
     if witness is not None and (len(witness) != out.best or has_property(witness, kind, k)):
         raise InvalidInputError(

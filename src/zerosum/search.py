@@ -355,24 +355,27 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     (ord(h) - 1 for eta, exp(G) - 1 for s), every later term is at least
     ``last``, and an element that cannot be pushed now never can be
     later, since the subsum table only grows.  So at most the sum of
-    cap(h) - mult(h) over the pushable h >= last terms follow.  A
-    maximise search without orbit pruning gives the state no ``last``, so
-    only D's subsum count bounds the depth and ``orbit_pruning=False``
-    stays the reference tree.  The cut keeps the witness: no tuple in a
-    cut subtree is longer than ``best``, and the first tuple of that
-    length was met before it.  Unlike the orbit rules it is sound for
-    counts: no tuple in a cut subtree has ``target_length`` terms, so an
-    enumeration emits the same tuples in the same order.
+    cap(h) - mult(h) over the pushable h >= last terms follow.  The D_k
+    state, given D(G), bounds them by its disjoint zero-sum count c: at
+    most (k - c) * D(G) - 1 terms follow.  A maximise search without
+    orbit pruning gives the state no ``last``, so only D's subsum count
+    bounds the depth and ``orbit_pruning=False`` stays the reference
+    tree.  The cut keeps the witness: no tuple in a cut subtree is longer
+    than ``best``, and the first tuple of that length was met before it.
+    Unlike the orbit rules it is sound for counts: no tuple in a cut
+    subtree has ``target_length`` terms, so an enumeration emits the same
+    tuples in the same order.
 
     Under orbit pruning every frame's candidates are also ANDed with
     ``state.open()``, the bitmask of the pushes the state would accept
     (None: no filter).  The D, eta and s states read it off their subsum
-    tables; the D_k state gives None.  A push it would refuse is never
-    tried, so ``nodes`` counts only the pushes the state left open; the
-    accepted pushes, their order, the value, the witness and the slack
-    prunes are those of the run without the mask.  Without orbit pruning
-    every push is tried, which keeps the reference tree and its node
-    counts, and enumerate mode tries every push too.
+    tables, and the D_k state off its part-sum table (None past the table
+    cap).  A push it would refuse is never tried, so ``nodes`` counts
+    only the pushes the state left open; the accepted pushes, their
+    order, the value, the witness and the slack prunes are those of the
+    run without the mask.  Without orbit pruning every push is tried,
+    which keeps the reference tree and its node counts, and enumerate
+    mode tries every push too.
     """
     n = group.order
     maximize = target_length is None
@@ -512,8 +515,12 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             continue
         else:
             goal = target_length
-        # the path is non-decreasing, so every copy of g ends it
-        slack = state.slack() if maximize and not prune else state.slack(g, path.count(g))
+        # the path is non-decreasing, so every copy of g ends it: under
+        # orbit pruning they are the top run, one more if it is g's
+        if prune:
+            slack = state.slack(g, runs[-1][1] + 1 if runs and runs[-1][0] == g else 1)
+        else:
+            slack = state.slack() if maximize else state.slack(g, path.count(g))
         if slack is not None and len(path) + slack < goal:
             slack_prunes += 1
             state.pop(path.pop())

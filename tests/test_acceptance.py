@@ -53,10 +53,11 @@ LONG_PROFILE = os.environ.get("ZEROSUM_LONG") == "1"
 # Node budgets of 50 times the largest count a search of the kind takes
 # here, so that a search state which stops refusing pushes fails a test
 # instead of hanging it: D(C2xC2xC8), eta(C2xC4xC4), s(C10), D_3(C6), the
-# tails' D_3(C2xC2xC4), and with ZEROSUM_LONG the hard D_2(C2xC2xC8).
-SEARCH_NODES = {"d": 50 * 4_173, "eta": 50 * 4_716, "s": 50 * 11_595, "dk": 50 * 1_802}
-TAIL_NODES = 50 * 70_004
-HARD_NODES = 50 * 5_403_641
+# tails' D_3(C2xC2xC4), and with ZEROSUM_LONG the hard eta(C2xC6xC6).  A
+# D_k count includes the D search of its depth bound.
+SEARCH_NODES = {"d": 50 * 4_173, "eta": 50 * 4_716, "s": 50 * 11_595, "dk": 50 * 275}
+TAIL_NODES = 50 * 16_786
+HARD_NODES = 50 * 2_536_278
 
 _cache = {}
 

@@ -89,11 +89,11 @@ def test_checkpoint_resume_round_trip_dk(capsys, tmp_path):
     full = json.loads(out)["result"]
 
     ck = tmp_path / "ck.json"
-    code, out = run_cli(args + ["--budget-nodes", "30", "--checkpoint", str(ck)],
+    code, out = run_cli(args + ["--budget-nodes", "16", "--checkpoint", str(ck)],
                         capsys)
     rounds = 0
     while code == 2:
-        code, out = run_cli(args + ["--budget-nodes", "30", "--checkpoint", str(ck),
+        code, out = run_cli(args + ["--budget-nodes", "16", "--checkpoint", str(ck),
                                     "--resume"], capsys)
         rounds += 1
         assert rounds < 40
@@ -130,18 +130,19 @@ def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path)
 
 
 def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
+    # version 9 is the last one before the D_k depth bound and open mask
     ck = tmp_path / "ck.json"
-    code, _ = run_cli(["constant", "--group", "2,2,6", "--kind", "eta",
-                       "--budget-nodes", "300", "--checkpoint", str(ck)], capsys)
-    assert code == 2
-    stored = json.loads(ck.read_text())
-    assert stored["job"]["version"] == 9
-    stored["job"]["version"] = 8
-    ck.write_text(json.dumps(stored))
-    code = main(["constant", "--group", "2,2,6", "--kind", "eta",
-                 "--checkpoint", str(ck), "--resume"])
-    assert code == 64
-    assert "version" in capsys.readouterr().err
+    for args, older in ((["constant", "--group", "2,2,6", "--kind", "eta"], 8),
+                        (["constant", "--group", "2,2,4", "--kind", "dk", "--k", "3"], 9)):
+        code, _ = run_cli(args + ["--budget-nodes", "300", "--checkpoint", str(ck)], capsys)
+        assert code == 2
+        stored = json.loads(ck.read_text())
+        assert stored["job"]["version"] == 10
+        stored["job"]["version"] = older
+        ck.write_text(json.dumps(stored))
+        code = main(args + ["--checkpoint", str(ck), "--resume"])
+        assert code == 64
+        assert "version" in capsys.readouterr().err
 
 
 def _set_search_field(key, value):
@@ -378,6 +379,32 @@ def test_report_suite(capsys, tmp_path):
     assert lines[0].startswith("group,kind,k")
     assert len(lines) > 10
     assert all(",False," not in line for line in lines[1:])
+
+
+def test_broken_pipe_exits_74(monkeypatch, tmp_path):
+    """A reader that closes the pipe early makes the report's write raise
+    BrokenPipeError: the command exits 74, not 1, which would claim a
+    falsified result, and stdout's descriptor then writes to devnull, so
+    that the flush at exit cannot fail again."""
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return self.fd
+
+    target = tmp_path / "stdout"
+    with open(target, "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        assert main(["constant", "--group", "2,2,4", "--kind", "d"]) == 74
+        fh.write("lost")
+    assert target.read_text() == ""
 
 
 def test_usage_errors_exit_64():

@@ -331,16 +331,17 @@ def test_result_json_shape():
 
 # value, witness as sorted indices, and node count of searches whose tree
 # must not change when their pruning state changes representation; the
-# orbit-pruned trees also pin the stabiliser chain and the multiplicity
-# bound, the unpruned ones the bare search
+# orbit-pruned trees also pin the stabiliser chain and the depth bounds
+# (an orbit-pruned dk count includes the D search of its bound), the
+# unpruned ones the bare search
 PINNED_SEARCHES = [
     ([2, 4, 4], "d", None, True, 8, [1, 2, 2, 2, 8, 8, 8], 1654),
     ([2, 2, 8], "d", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 4173),
-    ([2, 2, 2], "dk", 2, True, 7, [1, 2, 3, 4, 5, 6], 52),
-    ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 174),
-    ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 494),
-    ([2, 2, 4], "dk", 2, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 6572),
-    ([6], "dk", 3, True, 18, [1] * 17, 1802),
+    ([2, 2, 2], "dk", 2, True, 7, [1, 2, 3, 4, 5, 6], 35),
+    ([2, 2, 2], "dk", 3, True, 9, [1, 1, 1, 2, 3, 4, 5, 6], 101),
+    ([2, 2, 2], "dk", 4, True, 11, [1, 1, 1, 1, 1, 2, 3, 4, 5, 6], 262),
+    ([2, 2, 4], "dk", 2, True, 10, [1, 2, 4, 4, 4, 4, 4, 4, 4], 1682),
+    ([6], "dk", 3, True, 18, [1] * 17, 275),
     ([2, 2, 6], "eta", None, True, 10, [1, 2, 4, 4, 4, 4, 4, 5, 6], 573),
     ([2, 2, 4], "s", None, True, 11, [0, 0, 0, 1, 2, 4, 4, 4, 5, 6], 188),
     ([2, 2, 2], "dk", 2, False, 7, [1, 2, 3, 4, 5, 6], 1235),
@@ -384,24 +385,26 @@ class _Unmasked:
         return self.state.slack(last, run)
 
 
-MASKED_SEARCHES = [(case[0], case[1]) for case in PINNED_SEARCHES
-                   if case[1] != "dk" and case[3]] + [([4, 4], "s"), ([2, 6], "s"),
-                                                      ([2, 4, 4], "eta")]
+MASKED_SEARCHES = [case[:3] for case in PINNED_SEARCHES if case[3]] + \
+    [([4, 4], "s", None), ([2, 6], "s", None), ([2, 4, 4], "eta", None)]
 
 
-@pytest.mark.parametrize("factors,kind", MASKED_SEARCHES,
-                         ids=[str(f) if kind == "d" else f"{f}-{kind}"
-                              for f, kind in MASKED_SEARCHES])
-def test_open_mask_skips_exactly_the_refused_pushes(factors, kind):
-    """The orbit-pruned D, eta and s searches find the same value, witness
-    and slack prunes with and without the state's open() mask, and with
-    it every push tried is accepted: its nodes are the unmasked run's
-    accepted pushes."""
+@pytest.mark.parametrize("factors,kind,k", MASKED_SEARCHES,
+                         ids=[str(f) if kind == "d" else f"{f}-{kind}{k or ''}"
+                              for f, kind, k in MASKED_SEARCHES])
+def test_open_mask_skips_exactly_the_refused_pushes(factors, kind, k):
+    """The orbit-pruned D, D_k, eta and s searches find the same value,
+    witness and slack prunes with and without the state's open() mask,
+    and with it every push tried is accepted: its nodes are the unmasked
+    run's accepted pushes."""
     group = make_group(factors)
-    # as compute() runs them: s pins 0 first and prunes by translations
+    # as compute() runs them: s pins 0 first and prunes by translations,
+    # and D(G) bounds the depth of dk
     anchor = {"restrict_prefix": [0], "translations": True} if kind == "s" else {}
-    masked = dfs_run(group, search_state(group, kind), orbit_pruning=True, **anchor)
-    wrapped = _Unmasked(search_state(group, kind))
+    davenport = compute(group, "d").value if kind == "dk" else None
+    masked = dfs_run(group, search_state(group, kind, k, davenport), orbit_pruning=True,
+                     **anchor)
+    wrapped = _Unmasked(search_state(group, kind, k, davenport))
     unmasked = dfs_run(group, wrapped, orbit_pruning=True, **anchor)
     assert (masked.best, masked.witness, masked.stats.slack_prunes) == \
         (unmasked.best, unmasked.witness, unmasked.stats.slack_prunes)
@@ -501,12 +504,19 @@ def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
 
 
 def test_dk_search_without_reach_tables_keeps_its_tree(monkeypatch):
+    """Without reach tables lifts_disjoint_count decides every lift and no
+    push is skipped: the search finds the tabled run's value, witness and
+    slack prunes, and the tabled run tries exactly the pushes it accepts."""
     group = make_group([2, 2, 4])
-    tabled = compute(group, "dk", k=3)
-    # below |G|, so lifts_disjoint_count decides every lift
+    davenport = compute(group, "d").value
+    tabled = dfs_run(group, search_state(group, "dk", 3, davenport), orbit_pruning=True)
+    # below |G|, so there are no tables and open() masks nothing at count 2
     monkeypatch.setattr(invariants, "DK_REACH_MAX_BITS", 1)
-    assert search_state(group, "dk", 3).levels == 0
-    plain = compute(group, "dk", k=3)
-    assert tabled.value == plain.value == 14
-    assert tabled.witness == plain.witness
-    assert tabled.stats.nodes == plain.stats.nodes == 70004
+    state = search_state(group, "dk", 3, davenport)
+    assert state.levels == 0
+    wrapped = _Unmasked(state)
+    plain = dfs_run(group, wrapped, orbit_pruning=True)
+    assert (tabled.best, tabled.witness, tabled.stats.slack_prunes) == \
+        (plain.best, plain.witness, plain.stats.slack_prunes)
+    assert plain.best + 1 == 14
+    assert tabled.stats.nodes == wrapped.accepted < plain.stats.nodes

@@ -23,7 +23,7 @@ from zerosum.search import (
 )
 from zerosum.invariants import search_state
 
-from conftest import _element_orders, brute_subsums, unpack_negated_rows
+from conftest import _element_orders, brute_max_disjoint, brute_subsums, unpack_negated_rows
 
 BRUTE_FORCE_GROUPS = [
     [2], [3], [4], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8], [3, 6],
@@ -221,6 +221,31 @@ def test_dfs_run_prunes_orbits_at_order_128():
     assert out.status == "partial"
 
 
+class _CheckRuns(_RefuseLonger):
+    """A ``_RefuseLonger`` that counts the depth bounds asked of it and
+    checks that each names the element just pushed and its copies on the
+    path."""
+
+    def __init__(self, limit):
+        super().__init__(limit)
+        self.checked = 0
+
+    def slack(self, last=None, run=0):
+        assert (last, run) == (self.path[-1], self.path.count(self.path[-1])), self.path
+        self.checked += 1
+        return None
+
+
+@pytest.mark.parametrize("anchored", [False, True], ids=["aut", "affine"])
+def test_dfs_run_passes_the_copies_of_the_last_element(anchored):
+    """Under orbit pruning dfs_run reads the copies of the element just
+    pushed off its runs; they are the copies on the path."""
+    state = _CheckRuns(6)
+    dfs_run(make_group([2, 4]), state, orbit_pruning=True,
+            restrict_prefix=[0] if anchored else None, translations=anchored)
+    assert state.checked > 100
+
+
 def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
     # the orbit rules keep maxima, not counts
     group = make_group([2, 2])
@@ -258,17 +283,20 @@ def _resumed(run, max_nodes):
 @pytest.mark.parametrize("factors, kind, k, pinned, nodes", [
     ([2, 2, 4], "eta", None, None, 70),
     ([2, 2, 4], "d", None, None, 54),
-    ([2, 2, 2], "dk", 3, None, 174),
+    ([2, 2, 2], "dk", 3, None, 98),
     ([2, 2, 4], "s", None, [0], 188),
 ], ids=["eta-2-2-4", "d-2-2-4", "d3-2-2-2", "s-2-2-4"])
 def test_resume_anywhere_reaches_the_uninterrupted_search(factors, kind, k, pinned, nodes):
     """An orbit-pruned search stopped at every budget b and resumed with b
     again until it completes ends as the uninterrupted run does."""
     group = make_group(factors)
+    # D(C2^3) = 4 bounds the dk depth
+    davenport = 4 if kind == "dk" else None
 
     def run(budget, resume):
-        return dfs_run(group, search_state(group, kind, k), budget=budget, orbit_pruning=True,
-                       resume=resume, restrict_prefix=pinned, translations=bool(pinned))
+        return dfs_run(group, search_state(group, kind, k, davenport), budget=budget,
+                       orbit_pruning=True, resume=resume, restrict_prefix=pinned,
+                       translations=bool(pinned))
 
     full = run(None, None)
     assert full.stats.nodes == nodes
@@ -396,17 +424,23 @@ def test_reach_state_refuses_exactly_the_forbidden_zero_sums(factors, kind):
     walk_valid_prefixes(make_group(factors), kind, "refuse", visit_open_mask)
 
 
-def brute_extension(group, kind):
+def brute_extension(group, kind, k=None):
     """``grow`` and ``longest`` over the subsums of a prefix as a Python set:
     elements for d, (element, length) pairs of lengths up to exp(G) for eta
     and s, which is all that decides whether a prefix plus an extension
-    has the kind's property.  ``grow(sums, h)`` is None when appending h
-    gives the property; ``longest(sums, last)`` is the length of the
-    longest extension by terms at least ``last`` that never does."""
+    has the kind's property; for dk, over the prefix's sorted terms, whose
+    disjoint zero-sums ``brute_max_disjoint`` counts.  ``grow(sums, h)`` is
+    None when appending h gives the property; ``longest(sums, last)`` is
+    the length of the longest extension by terms at least ``last`` that
+    never does."""
     exp = group.exponent
     add = group.add_index
 
     def grow(sums, h):
+        if kind == "dk":
+            terms = tuple(sorted(sums + (h,)))
+            return None if brute_max_disjoint(Sequence.from_indices(group, terms), k) >= k \
+                else terms
         if kind == "d":
             new = sums | {add(e, h) for e in sums} | {h}
             return None if 0 in new else new
@@ -428,23 +462,35 @@ def brute_extension(group, kind):
     return grow, longest
 
 
-@pytest.mark.parametrize("kind", ["d", "eta", "s"])
-@pytest.mark.parametrize("factors", [[2, 2, 2], [2, 4], [3, 3], [2, 2, 4], [4, 4]], ids=str)
+# the dk oracle counts disjoint zero-sums of every multiset in the tree by
+# recursion over minimal zero-sums, so it runs on the smaller groups only
+SLACK_CASES = [(factors, kind) for factors in [[2, 2, 2], [2, 4], [3, 3], [2, 2, 4], [4, 4]]
+               for kind in ("d", "eta", "s")]
+SLACK_CASES += [([2, 2, 2], "dk2"), ([2, 4], "dk2"), ([3, 3], "dk2"), ([2, 2, 2], "dk3")]
+
+
+@pytest.mark.parametrize("factors, kind", SLACK_CASES,
+                         ids=[f"{factors}-{kind}" for factors, kind in SLACK_CASES])
 def test_slack_bounds_every_extension(factors, kind):
     """On random valid non-decreasing prefixes, the depth bound a state
     gives ``dfs_run`` under orbit pruning is at least the longest valid
     extension by terms no smaller than the last, found by exhaustive
-    search over sets.  It is exactly |G| - 1 - |sums| for D, and for eta
+    search over sets.  It is exactly |G| - 1 - |sums| for D, for eta
     and s the sum of cap(h) over the h >= last that can still be
-    appended, less the copies of ``last`` when it is one of them."""
+    appended, less the copies of ``last`` when it is one of them, and
+    for D_k (k - c) * D(G) - 1, with c the prefix's disjoint zero-sum
+    count and D(G) found by the same exhaustive search."""
     group = make_group(factors)
-    grow, longest = brute_extension(group, kind)
+    k = int(kind[2:]) if kind.startswith("dk") else None
+    kind = kind[:2] if k else kind
+    grow, longest = brute_extension(group, kind, k)
+    davenport = brute_extension(group, "d")[1](frozenset(), 0) + 1 if k else None
     caps = [_element_orders(group, [h])[0] - 1 if kind == "eta" else group.exponent - 1
             for h in range(group.order)]
-    rng = random.Random(f"{factors}{kind}")
+    rng = random.Random(f"{factors}{kind}{k or ''}")
     for _ in range(25):
-        state = search_state(group, kind)
-        prefix, sums = [], frozenset()
+        state = search_state(group, kind, k, davenport)
+        prefix, sums = [], () if k else frozenset()
         for _ in range(rng.randint(1, 8)):
             options = [(h, new) for h in range(prefix[-1] if prefix else 0, group.order)
                        if (new := grow(sums, h)) is not None]
@@ -458,6 +504,9 @@ def test_slack_bounds_every_extension(factors, kind):
         assert slack >= longest(sums, last), prefix
         if kind == "d":
             assert slack == group.order - 1 - len(sums), prefix
+        elif kind == "dk":
+            count = brute_max_disjoint(Sequence.from_indices(group, prefix), k)
+            assert slack == (k - count) * davenport - 1, prefix
         else:
             free = [h for h in range(last, group.order) if grow(sums, h) is not None]
             assert slack == sum(caps[h] for h in free) - (run if last in free else 0), prefix
