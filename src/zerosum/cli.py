@@ -3,8 +3,9 @@
 Exit codes: 0 = completed and every internal verification passed;
 1 = a verification falsified (classification mismatch, witness failure,
 missing certificate); 2 = budget exhausted, partial results written;
-64 = malformed invocation; 74 = standard output closed before the
-report was written (a broken pipe).
+64 = malformed invocation, or an output or checkpoint path that cannot
+be read or written; 74 = standard output closed before the report was
+written (a broken pipe).
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ SCHEMA_VERSION = 1
 # bound of D, which prunes by its subsum count alone; version 8 skips the
 # pushes the eta and s states refuse; version 9 stores one cursor, no best;
 # version 10 bounds the D_k depth by D(G) and skips the pushes the D_k
-# state refuses, so D_k trees shrink.
-CHECKPOINT_VERSION = 10
+# state refuses, so D_k trees shrink; version 11 does both in every search
+# but the reference tree, over groups past the orbit cap too.
+CHECKPOINT_VERSION = 11
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,13 +137,18 @@ def _load_checkpoint(filename, job):
 
 
 def _store_checkpoint(path, payload):
-    # a crash mid-write leaves the previous checkpoint intact
+    # a crash mid-write leaves the previous checkpoint intact, and a failed
+    # store leaves no temporary file behind
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
 
 
 def _group_from(spec):
@@ -502,9 +509,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (InvalidInputError, CapacityError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # the reader is gone: what is left in stdout goes to devnull, so
         # that the flush at exit does not fail again
@@ -512,6 +516,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_IO
+    except (InvalidInputError, CapacityError, OSError) as exc:   # OSError: a bad path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .search import (
     ReachState,
     SearchStats,
     dfs_run,
-    orbit_pruning_applies,
 )
 from .sequences import Sequence
 
@@ -293,7 +292,7 @@ class _DkState:
             return self.full & ~self._tables()[count]
         return None
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         if last is None or self.davenport is None:
             return None
         return (self.k - self.counts[-1]) * self.davenport - 1
@@ -341,8 +340,8 @@ def compute(group: Group, kind: str, k: int | None = None,
     refuses one it could not have written).  The witness is re-verified
     against the property.
 
-    A dk search with k >= 2 under orbit pruning first runs an orbit-pruned
-    D search, to completion and outside the budget, for the D(G) of its
+    A dk search with k >= 2 and ``orbit_pruning`` first runs a D search
+    with it, to completion and outside the budget, for the D(G) of its
     depth bound; that tree is the count-0 part of the dk tree.  Its nodes
     and slack prunes count in the returned ``stats``, not in the
     checkpoint, so a resumed search ends at the total of an uninterrupted
@@ -351,7 +350,7 @@ def compute(group: Group, kind: str, k: int | None = None,
     _check_kind(kind, k)
     anchor = [0] if kind == KIND_S else []
     first = None
-    if kind == KIND_DK and k > 1 and orbit_pruning and orbit_pruning_applies(group):
+    if kind == KIND_DK and k > 1 and orbit_pruning:
         first = dfs_run(group, DavenportState(group), orbit_pruning=True)
     out = dfs_run(group, search_state(group, kind, k, first.best + 1 if first else None),
                   budget=budget, orbit_pruning=orbit_pruning, resume=resume,

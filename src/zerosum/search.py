@@ -5,12 +5,13 @@ per multiset).  A search state object owns the incremental pruning data
 (the negated subsums for D, a negated row-major reach table for eta and
 s, each with the empty sum at bit 0, so that a push of g is one translate
 by -g), its depth bound and the mask of the pushes it would accept;
-``dfs_run`` owns candidate order, optional automorphism-orbit pruning of
-maximise searches (the first two positions, and every later position
-through a chain of pointwise stabilisers, with the gates and run caps of
-lex-least prefixes), the cut of subtrees that the depth bound shows
-cannot beat the best or reach the target length, node/time budgets, and
-resumable checkpoints (the path and its top frame's next candidate).
+``dfs_run`` owns candidate order, node/time budgets and resumable
+checkpoints.  The reference tree, a maximise search without orbit
+pruning, tries every push and cuts by D's subsum count alone; every other
+search skips the pushes its state refuses, gives the state's depth bound
+the copies of the last term off the runs of the path, and under orbit
+pruning also prunes by Aut(G)-orbits through a chain of pointwise
+stabilisers.
 """
 
 from __future__ import annotations
@@ -316,12 +317,21 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     ``next``, the top frame's next candidate, the witness, ``nodes`` and
     ``slack_prunes``) that ``resume`` continues, refused unless it replays.
 
-    Orbit pruning (``orbit_pruning``, for 1 < |G| <= 256) is for maximize
-    mode only.  It keeps the first element and the first pair among the
-    canonical ones of ``canonical_first_two``.  Past them the path is a
-    sequence of runs, m_j copies of p_1 < p_2 < ..., and H_j is the
-    pointwise stabiliser, in Aut(G), of p_1 ... p_(j-1).  A new distinct
-    element b must (1) be the least point of its orbit under the
+    There are two modes.  The reference tree, a maximize search without
+    ``orbit_pruning``, tries every push.  Every other search ANDs each
+    frame's candidates with ``state.open()``, the pushes the state would
+    accept (None: all), read off the subsum tables of the D, eta and s
+    states and the part-sum table of D_k (None past its cap).  So
+    ``nodes`` counts only the pushes left open, and all else is as in the
+    run without the mask: the accepted pushes and their order, the value,
+    witness, emitted tuples and slack prunes.
+
+    Orbit pruning (``orbit_pruning``; its rules apply for 1 < |G| <= 256)
+    is for maximize mode only.  It keeps the first element and the first
+    pair among the canonical ones of ``canonical_first_two``.  Past them
+    the path is a sequence of runs, m_j copies of p_1 < p_2 < ..., and H_j
+    is the pointwise stabiliser, in Aut(G), of p_1 ... p_(j-1).  A new
+    distinct element b must (1) be the least point of its orbit under the
     stabiliser of every element before it, and (2) pass the gate of every
     run: ``H_j.at_least(p_j)``, no point below p_j in the H_j-orbit of b.
     A repeat of p_j passes while m_j is below (3) its cap, the least m_i
@@ -339,48 +349,36 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     p_(j-1) and maps b below p_j; for (3), a psi in H_i with psi(p_j) =
     p_i, which keeps the runs before p_i and gives p_i more than m_i
     copies, or x -> x - p_j, which gives 0 more copies than W has.  So no
-    prefix of W is cut (nor by the first-two rule, for the same reason).  The argument needs a maximum,
-    not a count: the rules drop tuples an enumeration must emit, so
-    enumerate mode refuses ``orbit_pruning``.  Pinned positions bypass the
-    rules (their runs still open gates and caps); with the witness's own
-    prefix pinned, W still passes every later test.
+    prefix of W is cut (nor by the first-two rule, for the same reason).
+    The argument needs a maximum, not a count: the rules drop tuples an
+    enumeration must emit, so enumerate mode refuses ``orbit_pruning``.
+    Pinned positions bypass the rules (their runs still open gates and
+    caps); with the witness's own prefix pinned, W still passes every
+    later test.
 
     A push is cut, with its subtree, when ``len(path) + state.slack(last,
     run)`` is below the goal: ``best + 1`` in maximize mode,
     ``target_length`` in enumerate mode.  The state bounds how many terms
-    could still follow a path that ends in ``run`` copies of ``last``
-    (None: no bound, no cut).  D bounds them by its subsum count alone.
-    The eta and s states bound them by multiplicity, from ``last``, the
-    element just pushed: a kept sequence holds at most cap(h) copies of h
-    (ord(h) - 1 for eta, exp(G) - 1 for s), every later term is at least
-    ``last``, and an element that cannot be pushed now never can be
-    later, since the subsum table only grows.  So at most the sum of
-    cap(h) - mult(h) over the pushable h >= last terms follow.  The D_k
-    state, given D(G), bounds them by its disjoint zero-sum count c: at
-    most (k - c) * D(G) - 1 terms follow.  A maximise search without
-    orbit pruning gives the state no ``last``, so only D's subsum count
-    bounds the depth and ``orbit_pruning=False`` stays the reference
-    tree.  The cut keeps the witness: no tuple in a cut subtree is longer
-    than ``best``, and the first tuple of that length was met before it.
-    Unlike the orbit rules it is sound for counts: no tuple in a cut
-    subtree has ``target_length`` terms, so an enumeration emits the same
-    tuples in the same order.
-
-    Under orbit pruning every frame's candidates are also ANDed with
-    ``state.open()``, the bitmask of the pushes the state would accept
-    (None: no filter).  The D, eta and s states read it off their subsum
-    tables, and the D_k state off its part-sum table (None past the table
-    cap).  A push it would refuse is never tried, so ``nodes`` counts
-    only the pushes the state left open; the accepted pushes, their
-    order, the value, the witness and the slack prunes are those of the
-    run without the mask.  Without orbit pruning every push is tried,
-    which keeps the reference tree and its node counts, and enumerate
-    mode tries every push too.
+    could still follow a path that ends in ``run`` copies of ``last``, the
+    element just pushed, or None in the reference tree (the bound None:
+    no cut).  D bounds them by its subsum count alone.  The eta and s
+    states bound them by multiplicity: a kept sequence holds at most
+    cap(h) copies of h (ord(h) - 1 for eta, exp(G) - 1 for s), every later
+    term is at least ``last``, and an element that cannot be pushed now
+    never can be later, since the subsum table only grows.  So at most the
+    sum of cap(h) - mult(h) over the pushable h >= last terms follow.  The
+    D_k state, given D(G), bounds them by its disjoint zero-sum count c:
+    at most (k - c) * D(G) - 1 terms follow.  The cut keeps the witness:
+    no tuple in a cut subtree is longer than ``best``, and the first tuple
+    of that length was met before it.  Unlike the orbit rules it is sound
+    for counts: no tuple in a cut subtree has ``target_length`` terms, so
+    an enumeration emits the same tuples in the same order.
     """
     n = group.order
     maximize = target_length is None
     if orbit_pruning and not maximize:
         raise InvalidInputError("orbit pruning drops tuples from an enumeration")
+    reference = maximize and not orbit_pruning
     prune = orbit_pruning and orbit_pruning_applies(group)
     if prune:
         seeds, pairs = canonical_first_two(group)
@@ -396,21 +394,20 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     nodes = slack_prunes = 0
     started = time.perf_counter()
     full = (1 << n) - 1
-    root = stabiliser_chain(group) if prune else None
-    # runs[j]: [p_j, m_j, H_j, K_j, cap_j, gate_j] for the j-th run of equal
-    # elements on the path: its element and copies so far, the pointwise
-    # stabilisers of p_1 ... p_(j-1) and of p_1 ... p_j, the most copies
-    # the caps allow, and the AND of every H_i.at_least(p_i), i <= j
+    # runs[j]: [p_j, m_j], the j-th run of equal elements on the path and its
+    # copies so far, and under the orbit rules H_j, K_j, cap_j, gate_j: the
+    # pointwise stabilisers of p_1 ... p_(j-1) and of p_1 ... p_j, the most
+    # copies the caps allow, and the AND of every H_i.at_least(p_i), i <= j
     runs = []
 
     def allowed(depth):
         """Bitmask of the elements allowed at this depth, before the
-        non-decreasing cut; under orbit pruning, only those the state
-        leaves open."""
+        non-decreasing cut; outside the reference tree, only those the
+        state leaves open."""
         if restrict_prefix is not None and depth < len(restrict_prefix):
             mask = 1 << restrict_prefix[depth]
         elif not prune:
-            return full
+            mask = full
         elif depth == 0:
             mask = sum(1 << g for g in seeds)
         elif depth == 1:
@@ -420,24 +417,22 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             last, run, _, node, cap, gate = runs[-1]
             bit = 1 << last
             mask = (node.mask & gate & ~bit) | (bit if run < cap else 0)
-        if prune:
-            open_mask = state.open()
-            if open_mask is not None:
-                mask &= open_mask
-        return mask
+        open_mask = None if reference else state.open()
+        return mask if open_mask is None else mask & open_mask
 
     def descend(g):
         """Open the frame below the element g just pushed onto the path."""
-        if prune:
-            if runs and runs[-1][0] == g:
-                runs[-1][1] += 1
-            else:
-                node = runs[-1][3] if runs else root
-                cap = min((m for p, m, h, *_ in runs if h.rep[g] == p), default=math.inf)
-                if translations and runs:
-                    cap = min(cap, runs[0][1])
-                runs.append([g, 1, node, node.child(g), cap,
-                             node.at_least(g) & (runs[-1][5] if runs else full)])
+        if runs and runs[-1][0] == g:
+            runs[-1][1] += 1
+        elif not prune:
+            runs.append([g, 1])
+        else:
+            node = runs[-1][3] if runs else stabiliser_chain(group)
+            cap = min((m for p, m, h, *_ in runs if h.rep[g] == p), default=math.inf)
+            if translations and runs:
+                cap = min(cap, runs[0][1])
+            runs.append([g, 1, node, node.child(g), cap,
+                         node.at_least(g) & (runs[-1][5] if runs else full)])
         masks.append(allowed(len(path)))
 
     cursor = 0                          # the top frame's next candidate
@@ -481,11 +476,10 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         rest = masks[-1] >> cursor
         if not rest:
             masks.pop()
-            if prune and path:
+            if path:
                 runs[-1][1] -= 1
                 if not runs[-1][1]:
                     runs.pop()
-            if path:
                 cursor = path[-1] + 1
                 state.pop(path.pop())
             continue
@@ -515,12 +509,10 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
             continue
         else:
             goal = target_length
-        # the path is non-decreasing, so every copy of g ends it: under
-        # orbit pruning they are the top run, one more if it is g's
-        if prune:
-            slack = state.slack(g, runs[-1][1] + 1 if runs and runs[-1][0] == g else 1)
-        else:
-            slack = state.slack() if maximize else state.slack(g, path.count(g))
+        # the path is non-decreasing, so every copy of g ends it: they are
+        # the top run, one more if it is g's
+        run = runs[-1][1] + 1 if runs and runs[-1][0] == g else 1
+        slack = state.slack(None if reference else g, run)
         if slack is not None and len(path) + slack < goal:
             slack_prunes += 1
             state.pop(path.pop())
@@ -569,7 +561,7 @@ class DavenportState:
         """Bitmask of the g that try_push would accept."""
         return self.full & ~self.stack[-1]
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         return self.group.order - self.stack[-1].bit_count()
 
 
@@ -644,7 +636,7 @@ class ReachState:
         """Bitmask of the g that try_push would accept."""
         return self.opens[-1]
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         if last is None:
             return None
         free = self.opens[-1] >> last << last

@@ -130,14 +130,17 @@ def test_checkpoint_resume_round_trip_under_stabiliser_pruning(capsys, tmp_path)
 
 
 def test_resume_refuses_older_checkpoint_version(capsys, tmp_path):
-    # version 9 is the last one before the D_k depth bound and open mask
+    # version 9 is the last one before the D_k depth bound and open mask,
+    # version 10 the last before every search but the reference tree reads
+    # its state's open mask
     ck = tmp_path / "ck.json"
     for args, older in ((["constant", "--group", "2,2,6", "--kind", "eta"], 8),
-                        (["constant", "--group", "2,2,4", "--kind", "dk", "--k", "3"], 9)):
+                        (["constant", "--group", "2,2,4", "--kind", "dk", "--k", "3"], 9),
+                        (["constant", "--group", "2,2,6", "--kind", "eta"], 10)):
         code, _ = run_cli(args + ["--budget-nodes", "300", "--checkpoint", str(ck)], capsys)
         assert code == 2
         stored = json.loads(ck.read_text())
-        assert stored["job"]["version"] == 10
+        assert stored["job"]["version"] == 11
         stored["job"]["version"] = older
         ck.write_text(json.dumps(stored))
         code = main(args + ["--checkpoint", str(ck), "--resume"])
@@ -296,7 +299,7 @@ def test_lemma_check_stability(capsys):
 
 def test_lemma_check_stability_stats(capsys):
     # the stats block counts the extremal enumeration (eta(C3xC6) is
-    # pinned at 22,695 nodes); the rest of the output is byte-identical
+    # pinned at 9,545 nodes); the rest of the output is byte-identical
     # between reruns
     args = ["lemma-check", "--lemma", "stability", "--group", "3,6", "--kind", "eta"]
     outs = []
@@ -306,7 +309,7 @@ def test_lemma_check_stability_stats(capsys):
         payload = json.loads(out)
         stats = payload["result"].pop("stats")
         assert set(stats) == {"nodes", "seconds", "slack_prunes"}
-        assert stats["nodes"] == 22695 and stats["slack_prunes"] > 0
+        assert stats["nodes"] == 9545 and stats["slack_prunes"] > 0
         outs.append(json.dumps(payload, sort_keys=True))
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["result"]["checked"] == 96
@@ -405,6 +408,25 @@ def test_broken_pipe_exits_74(monkeypatch, tmp_path):
         assert main(["constant", "--group", "2,2,4", "--kind", "d"]) == 74
         fh.write("lost")
     assert target.read_text() == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["--out", "{dir}"],
+    ["--budget-nodes", "5", "--checkpoint", "{dir}"],
+    ["--resume", "--checkpoint", "{dir}"],
+], ids=["out", "checkpoint", "resume"])
+def test_unusable_paths_exit_64(args, capsys, tmp_path):
+    """An --out or --checkpoint path that is a directory exits 64 with an
+    error line, not 1, which would claim a falsified result; a failed
+    checkpoint store leaves no temporary file behind."""
+    target = tmp_path / "dir"
+    target.mkdir()
+    code = main(["constant", "--group", "2,2,4", "--kind", "d",
+                 *(arg.format(dir=target) for arg in args)])
+    assert code == 64
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert not any(target.iterdir())
 
 
 def test_usage_errors_exit_64():

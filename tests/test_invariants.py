@@ -381,7 +381,7 @@ class _Unmasked:
     def open(self):
         return None
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         return self.state.slack(last, run)
 
 
@@ -415,9 +415,9 @@ def test_open_mask_skips_exactly_the_refused_pushes(factors, kind, k):
 # the multiplicity depth bound cuts wherever no tuple below reaches the
 # length; the Property D scan of C3 + C3 is pinned beside them
 PINNED_ENUMERATIONS = [
-    ([4, 4], "s", 192, 133178),
-    ([3, 6], "eta", 96, 22695),
-    ([2, 6], "s", 198, 76069),
+    ([4, 4], "s", 192, 70919),
+    ([3, 6], "eta", 96, 9545),
+    ([2, 6], "s", 198, 49515),
 ]
 
 
@@ -436,7 +436,31 @@ def test_pinned_property_d_tree():
     report = check_property_d(3)
     assert report.holds and report.status == "complete"
     assert report.extremal_count == 54
-    assert report.stats.nodes == 1112
+    assert report.stats.nodes == 741
+
+
+# the extremal enumerations as their callers run them, and the Property D
+# scan of C3 + C3 at length 4m - 4 = 8
+MASKED_ENUMERATIONS = [(factors, kind, formula_oracle(make_group(factors), kind) - 1)
+                       for factors, kind, *_ in PINNED_ENUMERATIONS] + [([3, 3], "s", 8)]
+
+
+@pytest.mark.parametrize("factors,kind,length", MASKED_ENUMERATIONS,
+                         ids=[f"{f}-{kind}{length}" for f, kind, length in MASKED_ENUMERATIONS])
+def test_open_mask_skips_exactly_the_refused_pushes_in_enumerations(factors, kind, length):
+    """An enumeration emits the same tuples, in the same order, with the
+    same slack prunes, with and without the state's open() mask, and with
+    it every push tried is accepted: its nodes are the unmasked run's
+    accepted pushes."""
+    group = make_group(factors)
+    masked, unmasked = [], []
+    out = dfs_run(group, search_state(group, kind), target_length=length,
+                  emit=masked.append)
+    wrapped = _Unmasked(search_state(group, kind))
+    plain = dfs_run(group, wrapped, target_length=length, emit=unmasked.append)
+    assert masked and masked == unmasked
+    assert out.stats.slack_prunes == plain.stats.slack_prunes
+    assert out.stats.nodes == wrapped.accepted < plain.stats.nodes
 
 
 def test_dk_state_carries_the_disjoint_count(small_groups):

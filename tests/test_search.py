@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+import zerosum.search as search
 from zerosum import InvalidInputError, Sequence, make_group
 from zerosum.search import (
     Budget,
@@ -201,7 +202,7 @@ class _RefuseLonger:
     def open(self):
         return None
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         return None
 
 
@@ -230,20 +231,67 @@ class _CheckRuns(_RefuseLonger):
         super().__init__(limit)
         self.checked = 0
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         assert (last, run) == (self.path[-1], self.path.count(self.path[-1])), self.path
         self.checked += 1
         return None
 
 
-@pytest.mark.parametrize("anchored", [False, True], ids=["aut", "affine"])
-def test_dfs_run_passes_the_copies_of_the_last_element(anchored):
-    """Under orbit pruning dfs_run reads the copies of the element just
-    pushed off its runs; they are the copies on the path."""
+@pytest.mark.parametrize("mode", [
+    {"orbit_pruning": True},
+    {"orbit_pruning": True, "restrict_prefix": [0], "translations": True},
+    {"target_length": 6},
+], ids=["aut", "affine", "enumerate"])
+def test_dfs_run_passes_the_copies_of_the_last_element(mode):
+    """Outside the reference tree dfs_run reads the copies of the element
+    just pushed off its runs; they are the copies on the path."""
     state = _CheckRuns(6)
-    dfs_run(make_group([2, 4]), state, orbit_pruning=True,
-            restrict_prefix=[0] if anchored else None, translations=anchored)
+    dfs_run(make_group([2, 4]), state, **mode)
     assert state.checked > 100
+
+
+class _Checked:
+    """A search state that passes its open() mask on, counts the pushes
+    it accepts and checks that each depth bound asked of it names the
+    element just pushed and its copies on the path."""
+
+    def __init__(self, state):
+        self.state = state
+        self.path = []
+        self.accepted = 0
+
+    def try_push(self, g):
+        if not self.state.try_push(g):
+            return False
+        self.path.append(g)
+        self.accepted += 1
+        return True
+
+    def pop(self, g):
+        self.path.pop()
+        self.state.pop(g)
+
+    def open(self):
+        return self.state.open()
+
+    def slack(self, last, run):
+        assert (last, run) == (self.path[-1], self.path.count(self.path[-1])), self.path
+        return self.state.slack(last, run)
+
+
+@pytest.mark.parametrize("kind", ["d", "eta"])
+def test_search_past_the_orbit_cap_reads_the_mask_and_runs(kind, monkeypatch):
+    """With orbit pruning asked for over a group past the cap of the
+    orbit rules, a maximise search still reads the state's open() mask
+    and the runs of its path: it finds the reference tree's value and
+    witness, and every push it tries is accepted."""
+    group = make_group([2, 2, 4])
+    reference = dfs_run(group, search_state(group, kind))
+    monkeypatch.setattr(search, "ORBIT_PRUNING_MAX_ORDER", 1)
+    state = _Checked(search_state(group, kind))
+    out = dfs_run(group, state, orbit_pruning=True)
+    assert (out.best, out.witness) == (reference.best, reference.witness)
+    assert out.stats.nodes == state.accepted < reference.stats.nodes
 
 
 def test_dfs_run_refuses_orbit_pruning_in_enumerate_mode():
@@ -319,11 +367,11 @@ def test_resume_anywhere_keeps_an_enumeration():
     emitted = []
     full = run(None, None)
     expected, emitted = emitted, []
-    assert (full.stats.nodes, len(expected)) == (1619, 336)
+    assert (full.stats.nodes, len(expected)) == (1137, 336)
     a, b = 1, 2
     while a <= 987:
         out = _resumed(run, a)
-        assert (emitted, out.stats.nodes, out.best, out.witness) == (expected, 1619, 0, None), a
+        assert (emitted, out.stats.nodes, out.best, out.witness) == (expected, 1137, 0, None), a
         emitted = []
         a, b = b, a + b
     # an enumeration keeps no witness

@@ -28,7 +28,7 @@ class PermissiveState:
     def open(self):
         return None
 
-    def slack(self, last=None, run=0):
+    def slack(self, last, run):
         return None
 
 
