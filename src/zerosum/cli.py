@@ -11,6 +11,7 @@ written (a broken pipe).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -82,20 +83,14 @@ def _budget_from(args) -> Budget | None:
 
 def _emit(payload: dict, args) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
-    out = sys.stdout
-    close = False
-    if getattr(args, "out", None):
-        out = open(args.out, "w", encoding="utf-8")
-        close = True
-    try:
+    path = getattr(args, "out", None)
+    with (open(path, "w", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as out:
         if args.format == "json":
             json.dump(payload, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
             _emit_csv(payload, out)
-    finally:
-        if close:
-            out.close()
 
 
 def _result_row(r: dict) -> list:
@@ -204,9 +199,10 @@ def _cmd_constant(args) -> int:
                          orbit_pruning=not args.no_orbit_pruning,
                          resume=resume)
     record = _checked_record(result)
-    _emit({"command": "constant", "result": record}, args)
+    # a checkpoint that cannot be stored leaves no report behind
     if result.status != "complete" and args.checkpoint and result.checkpoint is not None:
         _store_checkpoint(args.checkpoint, {"job": job, "search": result.checkpoint})
+    _emit({"command": "constant", "result": record}, args)
     return _exit_code(result.status, record["match"] is not False)
 
 

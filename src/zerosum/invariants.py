@@ -25,6 +25,7 @@ from .search import (
     ReachState,
     SearchStats,
     dfs_run,
+    orbit_pruning_applies,
 )
 from .sequences import Sequence
 
@@ -340,17 +341,18 @@ def compute(group: Group, kind: str, k: int | None = None,
     refuses one it could not have written).  The witness is re-verified
     against the property.
 
-    A dk search with k >= 2 and ``orbit_pruning`` first runs a D search
-    with it, to completion and outside the budget, for the D(G) of its
+    A dk search with k >= 2 under orbit pruning first runs an orbit-pruned
+    D search, to completion and outside the budget, for the D(G) of its
     depth bound; that tree is the count-0 part of the dk tree.  Its nodes
     and slack prunes count in the returned ``stats``, not in the
     checkpoint, so a resumed search ends at the total of an uninterrupted
-    one.
+    one.  Past the orbit cap only the subsum count would cut that D tree,
+    which no budget could stop, so there the dk search runs unbounded.
     """
     _check_kind(kind, k)
     anchor = [0] if kind == KIND_S else []
     first = None
-    if kind == KIND_DK and k > 1 and orbit_pruning:
+    if kind == KIND_DK and k > 1 and orbit_pruning and orbit_pruning_applies(group):
         first = dfs_run(group, DavenportState(group), orbit_pruning=True)
     out = dfs_run(group, search_state(group, kind, k, first.best + 1 if first else None),
                   budget=budget, orbit_pruning=orbit_pruning, resume=resume,

@@ -317,14 +317,12 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     ``next``, the top frame's next candidate, the witness, ``nodes`` and
     ``slack_prunes``) that ``resume`` continues, refused unless it replays.
 
-    There are two modes.  The reference tree, a maximize search without
-    ``orbit_pruning``, tries every push.  Every other search ANDs each
-    frame's candidates with ``state.open()``, the pushes the state would
-    accept (None: all), read off the subsum tables of the D, eta and s
-    states and the part-sum table of D_k (None past its cap).  So
-    ``nodes`` counts only the pushes left open, and all else is as in the
-    run without the mask: the accepted pushes and their order, the value,
-    witness, emitted tuples and slack prunes.
+    The reference tree, a maximize search without ``orbit_pruning``,
+    tries every push and gives the state's depth bound no ``last``.  Every
+    other search ANDs each frame's candidates with ``state.open()``, the
+    pushes the state would accept (None: all), so ``nodes`` counts only
+    the pushes left open; the accepted pushes and their order, the value,
+    witness, emitted tuples and slack prunes are those without the mask.
 
     Orbit pruning (``orbit_pruning``; its rules apply for 1 < |G| <= 256)
     is for maximize mode only.  It keeps the first element and the first
@@ -360,19 +358,18 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     run)`` is below the goal: ``best + 1`` in maximize mode,
     ``target_length`` in enumerate mode.  The state bounds how many terms
     could still follow a path that ends in ``run`` copies of ``last``, the
-    element just pushed, or None in the reference tree (the bound None:
-    no cut).  D bounds them by its subsum count alone.  The eta and s
-    states bound them by multiplicity: a kept sequence holds at most
-    cap(h) copies of h (ord(h) - 1 for eta, exp(G) - 1 for s), every later
-    term is at least ``last``, and an element that cannot be pushed now
-    never can be later, since the subsum table only grows.  So at most the
-    sum of cap(h) - mult(h) over the pushable h >= last terms follow.  The
-    D_k state, given D(G), bounds them by its disjoint zero-sum count c:
-    at most (k - c) * D(G) - 1 terms follow.  The cut keeps the witness:
-    no tuple in a cut subtree is longer than ``best``, and the first tuple
-    of that length was met before it.  Unlike the orbit rules it is sound
-    for counts: no tuple in a cut subtree has ``target_length`` terms, so
-    an enumeration emits the same tuples in the same order.
+    element just pushed (a bound of None cuts nothing).  D bounds them by
+    its subsum count, D_k, given D(G), by its disjoint zero-sum count, and
+    eta and s by multiplicity: a kept sequence holds at most cap(h) copies
+    of h (ord(h) - 1 for eta, exp(G) - 1 for s), every later term is at
+    least ``last``, and an element that cannot be pushed now never can be
+    later, since the subsum table only grows, so at most the sum of
+    cap(h) - mult(h) over the pushable h >= last terms follow.  The cut
+    keeps the witness: no tuple in a cut subtree is longer than ``best``,
+    and the first tuple of that length was met before it.  Unlike the
+    orbit rules it is sound for counts: no tuple in a cut subtree has
+    ``target_length`` terms, so an enumeration emits the same tuples in
+    the same order.
     """
     n = group.order
     maximize = target_length is None
@@ -422,7 +419,9 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
 
     def descend(g):
         """Open the frame below the element g just pushed onto the path."""
-        if runs and runs[-1][0] == g:
+        if reference:
+            pass                        # it reads no runs, so keeps none
+        elif runs and runs[-1][0] == g:
             runs[-1][1] += 1
         elif not prune:
             runs.append([g, 1])
@@ -477,9 +476,10 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         if not rest:
             masks.pop()
             if path:
-                runs[-1][1] -= 1
-                if not runs[-1][1]:
-                    runs.pop()
+                if not reference:
+                    runs[-1][1] -= 1
+                    if not runs[-1][1]:
+                        runs.pop()
                 cursor = path[-1] + 1
                 state.pop(path.pop())
             continue

@@ -141,6 +141,38 @@ def random_sequence(rng, group, max_len):
         group, [rng.randrange(group.order) for _ in range(length)])
 
 
+class CountedState:
+    """A search state wrapper that counts the pushes it accepts and checks
+    that each depth bound asked with a ``last`` names the element just
+    pushed and its copies on the path.  Unless ``masked`` it leaves every
+    refusal to try_push: open() gives no mask."""
+
+    def __init__(self, state, masked=False):
+        self.state = state
+        self.masked = masked
+        self.path = []
+        self.accepted = 0
+
+    def try_push(self, g):
+        if not self.state.try_push(g):
+            return False
+        self.path.append(g)
+        self.accepted += 1
+        return True
+
+    def pop(self, g):
+        self.path.pop()
+        self.state.pop(g)
+
+    def open(self):
+        return self.state.open() if self.masked else None
+
+    def slack(self, last, run):
+        if last is not None:
+            assert (last, run) == (self.path[-1], self.path.count(last)), self.path
+        return self.state.slack(last, run)
+
+
 @pytest.fixture(scope="session")
 def small_groups():
     return [make_group(f) for f in

@@ -418,13 +418,14 @@ def test_broken_pipe_exits_74(monkeypatch, tmp_path):
 def test_unusable_paths_exit_64(args, capsys, tmp_path):
     """An --out or --checkpoint path that is a directory exits 64 with an
     error line, not 1, which would claim a falsified result; a failed
-    checkpoint store leaves no temporary file behind."""
+    checkpoint store leaves no temporary file behind and no report."""
     target = tmp_path / "dir"
     target.mkdir()
     code = main(["constant", "--group", "2,2,4", "--kind", "d",
                  *(arg.format(dir=target) for arg in args)])
     assert code == 64
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
     assert not any(target.iterdir())
 

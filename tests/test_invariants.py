@@ -5,6 +5,7 @@ import random
 import pytest
 
 import zerosum.invariants as invariants
+import zerosum.search as search
 from zerosum import (
     Budget,
     InvalidInputError,
@@ -26,7 +27,7 @@ from zerosum import (
 )
 from zerosum.search import dfs_run
 
-from conftest import brute_max_disjoint, brute_subsums
+from conftest import CountedState, brute_max_disjoint, brute_subsums
 
 
 def test_property_d_known_set():
@@ -362,29 +363,6 @@ def test_pinned_search_trees(factors, kind, k, orbit, value, witness, nodes):
     assert res.stats.nodes == nodes
 
 
-class _Unmasked:
-    """A search state that leaves every refusal to try_push (open() gives
-    no mask) and counts the pushes it accepts."""
-
-    def __init__(self, state):
-        self.state = state
-        self.accepted = 0
-
-    def try_push(self, g):
-        accepted = self.state.try_push(g)
-        self.accepted += accepted
-        return accepted
-
-    def pop(self, g):
-        self.state.pop(g)
-
-    def open(self):
-        return None
-
-    def slack(self, last, run):
-        return self.state.slack(last, run)
-
-
 MASKED_SEARCHES = [case[:3] for case in PINNED_SEARCHES if case[3]] + \
     [([4, 4], "s", None), ([2, 6], "s", None), ([2, 4, 4], "eta", None)]
 
@@ -404,7 +382,7 @@ def test_open_mask_skips_exactly_the_refused_pushes(factors, kind, k):
     davenport = compute(group, "d").value if kind == "dk" else None
     masked = dfs_run(group, search_state(group, kind, k, davenport), orbit_pruning=True,
                      **anchor)
-    wrapped = _Unmasked(search_state(group, kind, k, davenport))
+    wrapped = CountedState(search_state(group, kind, k, davenport))
     unmasked = dfs_run(group, wrapped, orbit_pruning=True, **anchor)
     assert (masked.best, masked.witness, masked.stats.slack_prunes) == \
         (unmasked.best, unmasked.witness, unmasked.stats.slack_prunes)
@@ -456,7 +434,7 @@ def test_open_mask_skips_exactly_the_refused_pushes_in_enumerations(factors, kin
     masked, unmasked = [], []
     out = dfs_run(group, search_state(group, kind), target_length=length,
                   emit=masked.append)
-    wrapped = _Unmasked(search_state(group, kind))
+    wrapped = CountedState(search_state(group, kind))
     plain = dfs_run(group, wrapped, target_length=length, emit=unmasked.append)
     assert masked and masked == unmasked
     assert out.stats.slack_prunes == plain.stats.slack_prunes
@@ -527,6 +505,18 @@ def test_dk_reach_table_decides_lifts_as_brute_force(small_groups, monkeypatch):
     assert seen == {0, 1, 2, 3, 4}
 
 
+def test_budgeted_dk_search_past_the_orbit_cap_stays_in_budget(monkeypatch):
+    """Past the orbit cap compute runs no D search for the D_k depth bound:
+    that search would run outside the budget with nothing but the subsum
+    count to cut it, so a budgeted dk search stops within its budget."""
+    group = make_group([2, 2, 4])
+    monkeypatch.setattr(search, "ORBIT_PRUNING_MAX_ORDER", 1)
+    res = compute(group, "dk", k=2, budget=Budget(max_nodes=5))
+    assert res.status == "partial" and res.stats.nodes == 5
+    full = compute(group, "dk", k=2)
+    assert full.value == formula_oracle(group, "dk", 2)
+
+
 def test_dk_search_without_reach_tables_keeps_its_tree(monkeypatch):
     """Without reach tables lifts_disjoint_count decides every lift and no
     push is skipped: the search finds the tabled run's value, witness and
@@ -538,7 +528,7 @@ def test_dk_search_without_reach_tables_keeps_its_tree(monkeypatch):
     monkeypatch.setattr(invariants, "DK_REACH_MAX_BITS", 1)
     state = search_state(group, "dk", 3, davenport)
     assert state.levels == 0
-    wrapped = _Unmasked(state)
+    wrapped = CountedState(state)
     plain = dfs_run(group, wrapped, orbit_pruning=True)
     assert (tabled.best, tabled.witness, tabled.stats.slack_prunes) == \
         (plain.best, plain.witness, plain.stats.slack_prunes)

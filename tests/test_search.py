@@ -24,7 +24,7 @@ from zerosum.search import (
 )
 from zerosum.invariants import search_state
 
-from conftest import _element_orders, brute_max_disjoint, brute_subsums, unpack_negated_rows
+from conftest import CountedState, _element_orders, brute_max_disjoint, brute_subsums, unpack_negated_rows
 
 BRUTE_FORCE_GROUPS = [
     [2], [3], [4], [2, 2], [2, 4], [3, 3], [2, 6], [4, 4], [2, 8], [3, 6],
@@ -250,35 +250,6 @@ def test_dfs_run_passes_the_copies_of_the_last_element(mode):
     assert state.checked > 100
 
 
-class _Checked:
-    """A search state that passes its open() mask on, counts the pushes
-    it accepts and checks that each depth bound asked of it names the
-    element just pushed and its copies on the path."""
-
-    def __init__(self, state):
-        self.state = state
-        self.path = []
-        self.accepted = 0
-
-    def try_push(self, g):
-        if not self.state.try_push(g):
-            return False
-        self.path.append(g)
-        self.accepted += 1
-        return True
-
-    def pop(self, g):
-        self.path.pop()
-        self.state.pop(g)
-
-    def open(self):
-        return self.state.open()
-
-    def slack(self, last, run):
-        assert (last, run) == (self.path[-1], self.path.count(self.path[-1])), self.path
-        return self.state.slack(last, run)
-
-
 @pytest.mark.parametrize("kind", ["d", "eta"])
 def test_search_past_the_orbit_cap_reads_the_mask_and_runs(kind, monkeypatch):
     """With orbit pruning asked for over a group past the cap of the
@@ -288,7 +259,7 @@ def test_search_past_the_orbit_cap_reads_the_mask_and_runs(kind, monkeypatch):
     group = make_group([2, 2, 4])
     reference = dfs_run(group, search_state(group, kind))
     monkeypatch.setattr(search, "ORBIT_PRUNING_MAX_ORDER", 1)
-    state = _Checked(search_state(group, kind))
+    state = CountedState(search_state(group, kind), masked=True)
     out = dfs_run(group, state, orbit_pruning=True)
     assert (out.best, out.witness) == (reference.best, reference.witness)
     assert out.stats.nodes == state.accepted < reference.stats.nodes
