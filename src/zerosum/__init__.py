@@ -21,12 +21,12 @@ _EXPORTS = {
     ),
     "errors": ("CapacityError", "InvalidInputError"),
     "extremal": (
-        "ClassificationReport", "RankTwoParams", "SubsumCertificate", "build_dk_witness",
-        "build_eta_extremal", "build_s_extremal", "classify_eta_extremal",
-        "classify_s_extremal", "check_stability", "enumerate_eta_extremal",
-        "enumerate_s_extremal", "eta_extremal_family", "find_subsum_certificate",
-        "rank_two_params", "s_extremal_family", "square_counterexample_report",
-        "verify_subsum_certificate",
+        "ClassificationReport", "PropertyDReport", "RankTwoParams", "SubsumCertificate",
+        "build_dk_witness", "build_eta_extremal", "build_s_extremal", "check_property_d",
+        "check_stability", "classify_eta_extremal", "classify_s_extremal",
+        "enumerate_eta_extremal", "enumerate_s_extremal", "eta_extremal_family",
+        "find_subsum_certificate", "rank_two_params", "s_extremal_family",
+        "square_counterexample_report", "verify_subsum_certificate",
     ),
     "groups": (
         "Element", "Group", "QuotientMap", "Subgroup", "enumerate_subgroups",
@@ -34,9 +34,8 @@ _EXPORTS = {
         "subgroup_generated_by",
     ),
     "invariants": (
-        "InvariantResult", "PropertyDReport", "TailReport", "check_property_d", "compute",
-        "detect_arithmetic_tail", "formula_oracle", "has_property", "property_d_known",
-        "search_state",
+        "InvariantResult", "TailReport", "compute", "detect_arithmetic_tail",
+        "formula_oracle", "has_property", "property_d_known", "search_state",
     ),
     "search": ("Budget", "SearchStats"),
     "sequences": ("Sequence",),

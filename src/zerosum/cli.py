@@ -18,13 +18,12 @@ import os
 import sys
 
 from .errors import CapacityError, InvalidInputError
-from .groups import CLI_GROUP_MAX_ORDER, parse_group
+from .groups import parse_group
 from .invariants import (
     KIND_D,
     KIND_DK,
     KIND_ETA,
     KIND_S,
-    check_property_d,
     compute,
     formula_oracle,
     has_property,
@@ -40,6 +39,9 @@ EXIT_USAGE = 64
 EXIT_IO = 74
 
 SCHEMA_VERSION = 1
+# Largest group the command line accepts: a Sequence is a dense vector of
+# length |G|, and the searches build tables of that length up front.
+CLI_GROUP_MAX_ORDER = 1 << 16
 # Part of a checkpoint's job key; bump it when the stored format changes or
 # a stored search would replay against a different search tree.  Version 2
 # raised the orbit pruning cap from order 64 to 256, so unversioned
@@ -93,24 +95,16 @@ def _emit(payload: dict, args) -> None:
             _emit_csv(payload, out)
 
 
-def _result_row(r: dict) -> list:
-    return [
-        r.get("group"), r.get("kind"), r.get("k"),
-        r.get("value"), r.get("formula"),
-        r.get("match"), r.get("status"),
-        r.get("stats", {}).get("nodes"), r.get("stats", {}).get("seconds"),
-    ]
-
-
 def _emit_csv(payload: dict, out) -> None:
+    """One row per checked search record: the ``results`` of ``report``
+    or the ``result`` of ``constant``, the two commands that offer csv."""
     writer = csv.writer(out)
     writer.writerow(["group", "kind", "k", "value_search", "value_formula",
                      "match", "status", "nodes", "seconds"])
-    rows = payload.get("results", [payload.get("result", payload)])
-    for r in rows:
-        row = _result_row(r)
-        row[0] = "x".join(f"C{f}" for f in row[0]) if row[0] else "C1"
-        writer.writerow(row)
+    for r in payload["results"] if "results" in payload else [payload["result"]]:
+        writer.writerow(["x".join(f"C{f}" for f in r["group"]) or "C1", r["kind"], r["k"],
+                         r["value"], r["formula"], r["match"], r["status"],
+                         r["stats"]["nodes"], r["stats"]["seconds"]])
 
 
 def _load_checkpoint(filename, job):
@@ -304,6 +298,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_property_d(args) -> int:
+    from .extremal import check_property_d
+
     if args.m >= 1:
         _group_from([args.m, args.m])
     budget = _budget_from(args)
@@ -431,8 +427,9 @@ def build_parser() -> _Parser:
                      description="zero-sum invariants of finite abelian groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, budget=True):
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    def add_common(p, budget=True, formats=("json",)):
+        # a csv row holds a checked search record: only constant and report have one
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", help="write the report to a file")
         if budget:
             p.add_argument("--budget-nodes", type=_at_least(0), default=None)
@@ -446,7 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--resume", action="store_true")
     p.add_argument("--no-orbit-pruning", action="store_true")
-    add_common(p)
+    add_common(p, formats=("json", "csv"))
     p.set_defaults(func=_cmd_constant)
 
     p = sub.add_parser("witness", help="build and verify an extremal witness")
@@ -492,7 +489,7 @@ def build_parser() -> _Parser:
     p.add_argument("--long", action="store_true",
                    help="include the slow entries")
     p.add_argument("--no-orbit-pruning", action="store_true")
-    add_common(p)
+    add_common(p, formats=("json", "csv"))
     p.set_defaults(func=_cmd_report)
 
     return parser

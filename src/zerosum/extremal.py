@@ -7,12 +7,14 @@ The eta-extremal sequences over H = C_m + C_mn are exactly
 for a generating pair {b1, b2} with ord(b2) = mn, s in [1,n], x in [1,m]
 coprime to m, where the pair is independent or s = n and x = 1.  The
 s-extremal sequences add a translation c and a second split parameter t.
-This module builds those families, classifies search-enumerated extremal
-sequences against them, checks the one-element stability property, and
-searches for the restricted-subsum coverage certificate (a proper
-subgroup K and k' not in K whose coset covers everything the subsums
-miss).  It also builds the length-(2m+2mk) witnesses showing that k
-disjoint zero-sum subsequences cannot be forced over C_2 + C_2m + C_2m.
+This module builds those families, enumerates the extremal sequences by
+search, classifies them against the families, checks the one-element
+stability property and Property D (over C_m + C_m, every s-extremal
+sequence is an (m-1)-th power), and searches for the restricted-subsum
+coverage certificate (a proper subgroup K and k' not in K whose coset
+covers everything the subsums miss).  It also builds the length-(2m+2mk)
+witnesses showing that k disjoint zero-sum subsequences cannot be forced
+over C_2 + C_2m + C_2m.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from math import gcd
 
 from .engine import reach_table
 from .errors import InvalidInputError
-from .groups import (Element, Group, Subgroup, enumerate_subgroups, make_group, record, replace,
-                     subgroup_generated_by)
+from .groups import (Element, Group, Subgroup, enumerate_subgroups, factory, make_group, record,
+                     replace, subgroup_generated_by)
 from .invariants import (KIND_ETA, KIND_S, formula_oracle, property_d_known,
                          rank_two_split, search_state)
 from .search import Budget, SearchStats, dfs_run
@@ -277,6 +279,45 @@ def classify_s_extremal(group: Group, budget: Budget | None = None) -> Classific
         raise InvalidInputError(
             f"classification needs Property D for m = {m}, which is unknown")
     return _classify(group, KIND_S, s_extremal_family(group), budget)
+
+
+# ---------------------------------------------------------------------------
+# Property D: the s-extremal sequences over C_m + C_m
+
+@record
+class PropertyDReport:
+    m: int
+    holds: bool
+    extremal_count: int
+    counterexample: Sequence | None
+    status: str = "complete"         # "complete" | "inconclusive"
+    stats: SearchStats = factory(SearchStats)
+
+    def to_json(self):
+        return {
+            "m": self.m,
+            "holds": self.holds,
+            "extremal_count": self.extremal_count,
+            "counterexample": (self.counterexample.to_json()
+                               if self.counterexample is not None else None),
+            "status": self.status,
+            "stats": self.stats.to_json(),
+        }
+
+
+def check_property_d(m: int, budget: Budget | None = None) -> PropertyDReport:
+    """Property D holds for m when every s-extremal sequence over C_m + C_m
+    (length 4m-4, no zero-sum of length m) is an (m-1)-th power, i.e.
+    every multiplicity is divisible by m-1; the first that is not is the
+    counterexample, and a partial enumeration is inconclusive."""
+    if m < 1:
+        raise InvalidInputError("m must be >= 1")
+    if m == 1:
+        return PropertyDReport(1, True, 1, None)
+    found, out = enumerate_s_extremal(Group((m, m)), budget)
+    bad = next((seq for seq in found if any(v % (m - 1) for v in seq.mult)), None)
+    status = "complete" if out.status == "complete" else "inconclusive"
+    return PropertyDReport(m, bad is None, len(found), bad, status, out.stats)
 
 
 # ---------------------------------------------------------------------------

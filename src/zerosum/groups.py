@@ -20,9 +20,6 @@ from .errors import CapacityError, InvalidInputError
 
 SUBGROUP_ENUM_MAX_ORDER = 1 << 12
 AUTOMORPHISM_MAX_ORDER = 1 << 6
-# Largest group the command line accepts: a Sequence is a dense vector of
-# length |G|, and the searches build tables of that length up front.
-CLI_GROUP_MAX_ORDER = 1 << 16
 
 
 def _lcm(a: int, b: int) -> int:
@@ -139,13 +136,13 @@ def _unit_generators(m: int) -> list:
 # ---------------------------------------------------------------------------
 # Smith normal form (integer matrices, small sizes)
 
-def smith_diagonal(rows, want_row_transform=False):
+def smith_diagonal(rows):
     """Diagonalize an integer matrix by unimodular row/column operations.
 
     Returns the list of diagonal entries d_1 | d_2 | ... (non-negative,
-    each dividing the next).  With ``want_row_transform`` also returns the
-    unimodular matrix U such that U*M*V equals the diagonal matrix for some
-    unimodular V (V is not tracked; it never matters for quotient maps).
+    each dividing the next) and the unimodular matrix U such that U*M*V
+    equals the diagonal matrix for some unimodular V (V is not tracked; it
+    never matters for quotient maps).
     """
     a = [list(row) for row in rows]
     nr = len(a)
@@ -231,25 +228,21 @@ def smith_diagonal(rows, want_row_transform=False):
             row_sub(t, offender, -1)
         t += 1
 
-    diag = [a[i][i] for i in range(min(nr, nc))]
-    if want_row_transform:
-        return diag, u
-    return diag
+    return [a[i][i] for i in range(min(nr, nc))], u
 
 
 def canonical_invariant_factors(factors) -> tuple:
-    """Canonical divisor chain of a direct sum of cyclic groups."""
-    fs = []
-    for f in factors:
-        f = int(f)
+    """Canonical divisor chain of a direct sum of cyclic groups:
+    C_a + C_b = C_gcd(a,b) + C_lcm(a,b), applied to every pair i < j in
+    turn, leaves f_i dividing every later factor."""
+    fs = [int(f) for f in factors]
+    for f in fs:
         if f <= 0:
             raise InvalidInputError(f"cyclic factor must be positive, got {f}")
-        if f > 1:
-            fs.append(f)
-    if not fs:
-        return ()
-    diag = [[fs[i] if i == j else 0 for j in range(len(fs))] for i in range(len(fs))]
-    return tuple(d for d in smith_diagonal(diag) if d > 1)
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            fs[i], fs[j] = gcd(fs[i], fs[j]), _lcm(fs[i], fs[j])
+    return tuple(f for f in fs if f > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +704,7 @@ def quotient(group: Group, sub: Subgroup) -> QuotientMap:
     for j, col in enumerate(gen_cols):
         for i in range(r):
             mat[i][r + j] = col[i]
-    diag, u = smith_diagonal(mat, want_row_transform=True)
+    diag, u = smith_diagonal(mat)
     keep = [(pos, d) for pos, d in enumerate(diag) if d > 1]
     target = Group(tuple(d for _, d in keep))
     table = []

@@ -5,7 +5,9 @@ defining property, found by DFS over non-decreasing multisets with an
 incremental pruning state.  Closed-form values for the covered groups
 (rank at most two, and rank three of the form C_2 + C_2m + C_2mn) are
 available through formula_oracle for cross-validation; every search
-result re-verifies its own witness through the engine.
+result re-verifies its own witness through the engine.  property_d_known
+names the m with Property D proved; the scan that checks it over
+C_m + C_m is the s-extremal enumeration of the extremal module.
 """
 
 from __future__ import annotations
@@ -417,56 +419,3 @@ def detect_arithmetic_tail(group: Group, k_max: int,
         # require the constant stretch to reach stabilization + 2
         return TailReport(group, k_max, values, None, None, "inconclusive")
     return TailReport(group, k_max, values, offsets[-1], k0, "provisional")
-
-
-# ---------------------------------------------------------------------------
-# Property D
-
-@record
-class PropertyDReport:
-    m: int
-    holds: bool
-    extremal_count: int
-    counterexample: Sequence | None
-    status: str = "complete"
-    stats: SearchStats = factory(SearchStats)
-
-    def to_json(self):
-        return {
-            "m": self.m,
-            "holds": self.holds,
-            "extremal_count": self.extremal_count,
-            "counterexample": (self.counterexample.to_json()
-                               if self.counterexample is not None else None),
-            "status": self.status,
-            "stats": self.stats.to_json(),
-        }
-
-
-def check_property_d(m: int, budget: Budget | None = None) -> PropertyDReport:
-    """Scan every length-(4m-4) sequence over C_m^2 without a zero-sum of
-    length m; Property D holds when each is a perfect (m-1)-th power,
-    i.e. every multiplicity is divisible by m-1.
-    """
-    if m < 1:
-        raise InvalidInputError("m must be >= 1")
-    if m == 1:
-        return PropertyDReport(1, True, 1, None)
-    group = Group((m, m))
-    target_len = 4 * m - 4
-    found = {"count": 0, "bad": None}
-
-    def emit(prefix):
-        found["count"] += 1
-        if found["bad"] is None:
-            mult = [0] * group.order
-            for i in prefix:
-                mult[i] += 1
-            if any(v % (m - 1) for v in mult):
-                found["bad"] = Sequence.from_indices(group, prefix)
-
-    out = dfs_run(group, search_state(group, KIND_S), target_length=target_len,
-                  emit=emit, budget=budget)
-    status = "complete" if out.status == "complete" else "inconclusive"
-    return PropertyDReport(m, found["bad"] is None, found["count"],
-                           found["bad"], status, out.stats)

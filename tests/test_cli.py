@@ -9,8 +9,7 @@ import pytest
 
 import zerosum
 from zerosum import CapacityError
-from zerosum.cli import _group_from, main
-from zerosum.groups import CLI_GROUP_MAX_ORDER
+from zerosum.cli import CLI_GROUP_MAX_ORDER, _group_from, main
 
 
 def run_cli(args, capsys):
@@ -45,6 +44,22 @@ def test_constant_csv_columns(capsys):
     assert header == "group,kind,k,value_search,value_formula,match,status,nodes,seconds"
     cells = row.split(",")
     assert cells[0] == "C2xC4" and cells[3] == "5" and cells[4] == "5"
+
+
+@pytest.mark.parametrize("args", [
+    ["witness", "--group", "2,4", "--family", "eta", "--s", "1"],
+    ["property-d", "--m", "2"],
+    ["classify", "--group", "2,4", "--kind", "eta"],
+    ["lemma-check", "--lemma", "stability", "--group", "2,4"],
+], ids=lambda args: args[0])
+def test_csv_only_where_there_is_a_result_row(args, capsys):
+    """Only constant and report print a search record, the csv row;
+    every other command refuses --format csv before it runs."""
+    with pytest.raises(SystemExit) as refused:
+        main(args + ["--format", "csv"])
+    assert refused.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'csv'" in captured.err
 
 
 def test_budget_exhaustion_exit_code(capsys, tmp_path):

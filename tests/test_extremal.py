@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+import zerosum.extremal as extremal
 from zerosum import (
     InvalidInputError,
+    SearchStats,
     Sequence,
     build_dk_witness,
     build_eta_extremal,
     build_s_extremal,
+    check_property_d,
     check_stability,
     classify_eta_extremal,
     classify_s_extremal,
@@ -27,6 +30,7 @@ from zerosum import (
     verify_subsum_certificate,
 )
 from zerosum.extremal import rank_two_split
+from zerosum.search import DfsOutcome
 
 from conftest import brute_subgroup_masks, brute_subsums, random_sequence
 
@@ -181,6 +185,31 @@ def test_classify_small_groups():
 def test_classify_s_needs_known_property_d():
     with pytest.raises(InvalidInputError):
         classify_s_extremal(make_group([11, 11]))
+
+
+@pytest.mark.parametrize("status, reported", [("complete", "complete"),
+                                               ("partial", "inconclusive")])
+def test_property_d_reports_the_first_sequence_that_is_no_power(monkeypatch, status, reported):
+    """Property D holds for every m the scan can reach, so the enumeration
+    is replaced by a crafted list: squares (the (m-1)-th powers for m = 3)
+    first, then two sequences that are not."""
+    group = make_group([3, 3])
+    squares = [Sequence.from_terms(group, [([0, 0], 2), ([1, 0], 2), ([0, 1], 2), ([1, 1], 2)]),
+               Sequence.from_terms(group, [([0, 0], 4), ([1, 2], 4)])]
+    bad = [Sequence.from_terms(group, [([0, 0], 3), ([1, 0], 1), ([0, 1], 2), ([1, 1], 2)]),
+           Sequence.from_terms(group, [([0, 0], 1), ([2, 2], 7)])]
+    stats = SearchStats(nodes=17)
+
+    def enumerate_crafted(g, budget):
+        assert g == group and budget is None
+        return squares + bad, DfsOutcome(8, None, stats, status)
+
+    monkeypatch.setattr(extremal, "enumerate_s_extremal", enumerate_crafted)
+    report = check_property_d(3)
+    assert report.holds is False
+    assert report.counterexample == bad[0]
+    assert report.extremal_count == len(squares + bad)
+    assert report.status == reported and report.stats is stats
 
 
 def test_stability_small():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -259,10 +260,30 @@ def test_parse_group_forms():
         parse_group("Q8")
 
 
+def _killed_by(factors, d):
+    """Elements of C_f1 + ... + C_fr with d*x = 0, counted one by one."""
+    return sum(all(d * x % f == 0 for x, f in zip(xs, factors))
+               for xs in itertools.product(*(range(f) for f in factors)))
+
+
 def test_canonical_invariant_factors_direct():
     assert canonical_invariant_factors([30, 12]) == (6, 60)
     assert canonical_invariant_factors([2, 2, 3]) == (2, 6)
     assert canonical_invariant_factors([1, 1]) == ()
+    # two groups are isomorphic exactly when, for every d, as many of their
+    # elements are killed by d
+    rng = random.Random(28)
+    for _ in range(60):
+        raw = [rng.randint(1, 12) for _ in range(rng.randint(0, 4))]
+        if math.prod(raw) > 3000:
+            continue
+        chain = canonical_invariant_factors(raw)
+        assert all(f > 1 for f in chain)
+        assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+        exponent = math.lcm(*raw)
+        for d in range(1, exponent + 1):
+            if exponent % d == 0:
+                assert _killed_by(chain, d) == _killed_by(raw, d), (raw, chain, d)
 
 
 @pytest.mark.parametrize("factors", [[8], [2, 6], [2, 2, 4], [4, 4, 4], [2, 2, 2, 8]],
