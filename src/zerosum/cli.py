@@ -43,19 +43,8 @@ SCHEMA_VERSION = 1
 # length |G|, and the searches build tables of that length up front.
 CLI_GROUP_MAX_ORDER = 1 << 16
 # Part of a checkpoint's job key; bump it when the stored format changes or
-# a stored search would replay against a different search tree.  Version 2
-# raised the orbit pruning cap from order 64 to 256, so unversioned
-# checkpoints are refused; version 3 prunes every later position of a
-# maximise search by the pointwise stabiliser of the prefix; version 4 adds
-# the multiplicity bound on depth, and the checkpoint carries the slack
-# prune count; version 5 adds the lex-least prefix gates and run caps
-# (rebuilt on resume by replaying the path); version 6 skips the pushes the
-# D state refuses, so D node counts fall; version 7 drops the multiplicity
-# bound of D, which prunes by its subsum count alone; version 8 skips the
-# pushes the eta and s states refuse; version 9 stores one cursor, no best;
-# version 10 bounds the D_k depth by D(G) and skips the pushes the D_k
-# state refuses, so D_k trees shrink; version 11 does both in every search
-# but the reference tree, over groups past the orbit cap too.
+# a stored search would replay against a different search tree (CHANGES.md
+# records what each version changed).
 CHECKPOINT_VERSION = 11
 
 

@@ -151,8 +151,8 @@ def extract_lex_smallest(group: Group, mult, length: int, target: int, hom=None)
 
 def _lex_smallest_walk(group: Group, mult, support, suffix, length: int, target: int,
                        hom=None):
-    """The greedy walk of ``extract_lex_smallest`` on suffix tables that
-    ``_suffix_tables`` built with any ``max_len >= length``."""
+    """The greedy walk of ``extract_lex_smallest`` (None when nothing fits)
+    on suffix tables that ``_suffix_tables`` built with any ``max_len >= length``."""
     n = group.order
     neg = group.neg_table()
     add = group.add_index
@@ -428,11 +428,12 @@ def inductive_partition(seq: Sequence, sub: Subgroup) -> InductivePartition:
     blocks = []
     while remaining:
         cap = min(bound, remaining)
-        zero = _reach_masks(target, work, cap, hom) & _zero_column(target.order, cap)
+        support, tables = _suffix_tables(target, work, cap, hom)
+        zero = tables[0] & _zero_column(target.order, cap)
         if not zero:
             break
         shortest = ((zero & -zero).bit_length() - 1) // target.order
-        picked = extract_lex_smallest(target, work, shortest, 0, hom)
+        picked = _lex_smallest_walk(target, work, support, tables, shortest, 0, hom)
         blocks.append(Sequence.from_indices(group, picked))
         for i in picked:
             work[i] -= 1
@@ -454,8 +455,10 @@ class ExtractionFailure:
 def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
     """Check the premises of the two extractions and shift by -anchor.
 
-    Returns the anchor a, the multiplicity lists of the shifted pilot and
-    of the rest (the shifted sequence without the shifted pilot), and the
+    Returns the anchor a, the shifted pilot as the arguments of
+    ``_lex_smallest_walk`` before the length (its multiplicity list, support
+    and suffix tables, with rows up to its length), the multiplicity list of
+    the rest (the shifted sequence without the shifted pilot), and the
     lexicographically smallest zero-sum subsequence of the rest among those
     of the greatest length at most exp(G) (empty when there is none).
     """
@@ -466,33 +469,33 @@ def _pilot_prologue(seq: Sequence, pilot: Sequence, anchor, required_len: int):
         raise InvalidInputError("pilot subsequence does not divide the sequence")
     a = group.element(anchor)
     n = group.order
-    table = _reach_masks(group, pilot.mult, len(pilot))
-    jh = 0
-    for j in range(1, len(pilot) + 1):
-        jh = group.add_index(jh, a.index)
-        if not (table >> (j * n + jh)) & 1:
-            raise InvalidInputError(
-                f"j*h is not a length-j subsum of the pilot for j={j}")
+    # translating by -a permutes the multiplicity list
+    neg_a = group.neg_index(a.index)
+    shifted_pilot = [0] * n
+    rest = [0] * n
+    for g, v in enumerate(seq.mult):
+        if v:
+            h = group.add_index(g, neg_a)
+            shifted_pilot[h] = pilot.mult[g]
+            rest[h] = v - pilot.mult[g]
+    support, tables = _suffix_tables(group, shifted_pilot, len(pilot))
+    # length-j subsums shift by -j*a: j*a is the pilot's when 0 is the shift's
+    missing = _zero_column(n, len(pilot)) & ~tables[0]
+    if missing:
+        raise InvalidInputError("j*h is not a length-j subsum of the pilot for "
+                                f"j={((missing & -missing).bit_length() - 1) // n}")
     if len(pilot) < (group.exponent - 1) // 2:
         raise InvalidInputError(
             f"pilot length {len(pilot)} below floor((exp-1)/2) = {(group.exponent - 1) // 2}")
     if len(seq) < required_len:
         raise InvalidInputError(
             f"sequence length {len(seq)} below required {required_len}")
-    # translating by -a permutes the multiplicity list
-    neg_a = group.neg_index(a.index)
-    shifted_pilot = [0] * group.order
-    rest = [0] * group.order
-    for g, v in enumerate(seq.mult):
-        if v:
-            h = group.add_index(g, neg_a)
-            shifted_pilot[h] = pilot.mult[g]
-            rest[h] = v - pilot.mult[g]
     cap = min(group.exponent, len(seq) - len(pilot))
-    support, tables = _suffix_tables(group, rest, cap)
+    rest_support, rest_tables = _suffix_tables(group, rest, cap)
     # the longest zero-sum length, 0 for the empty one
-    tlen = ((tables[0] & _zero_column(n, cap) | 1).bit_length() - 1) // n
-    return a, shifted_pilot, rest, _lex_smallest_walk(group, rest, support, tables, tlen, 0)
+    tlen = ((rest_tables[0] & _zero_column(n, cap) | 1).bit_length() - 1) // n
+    return (a, (shifted_pilot, support, tables), rest,
+            _lex_smallest_walk(group, rest, rest_support, rest_tables, tlen, 0))
 
 
 def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int):
@@ -509,7 +512,7 @@ def extract_exp_length_zero_sum(seq: Sequence, pilot: Sequence, anchor, eta: int
     a, shifted_pilot, rest, t_part = _pilot_prologue(seq, pilot, anchor, eta + exp - 1)
     tlen = len(t_part)
     if len(pilot) >= exp - tlen:
-        c_part = extract_lex_smallest(group, shifted_pilot, exp - tlen, 0)
+        c_part = _lex_smallest_walk(group, *shifted_pilot, exp - tlen, 0)
         if c_part is None:
             return ExtractionFailure(
                 "pilot-zero-sum",

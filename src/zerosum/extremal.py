@@ -341,16 +341,12 @@ class StabilityReport:
         }
 
 
-def check_stability(group: Group, kind: str, sequences=None,
-                    budget: Budget | None = None) -> StabilityReport:
+def check_stability(group: Group, kind: str, sequences) -> StabilityReport:
     """Any two distinct extremal sequences share at most threshold-3
     elements (equivalently, changing one element of an extremal sequence
-    never yields another one).
+    never yields another one), among ``sequences``, the kind's extremal
+    sequences of ``group`` as enumerated.
     """
-    if sequences is None:
-        sequences, out = _extremal_sequences(group, kind, budget)
-        if out.status != "complete":
-            raise InvalidInputError("extremal enumeration did not complete")
     for i, a in enumerate(sequences):
         for b in sequences[i + 1:]:
             if sum(map(min, a.mult, b.mult)) >= len(a) - 1:

@@ -43,6 +43,8 @@ def _check_kind(kind, k):
         raise InvalidInputError(f"unknown kind {kind!r}")
     if kind == KIND_DK and (k is None or k < 1):
         raise InvalidInputError("kind 'dk' needs k >= 1")
+    if kind != KIND_DK and k is not None:
+        raise InvalidInputError(f"kind {kind!r} takes no k")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +358,8 @@ def compute(group: Group, kind: str, k: int | None = None,
     first = None
     if kind == KIND_DK and k > 1 and orbit_pruning and orbit_pruning_applies(group):
         first = dfs_run(group, DavenportState(group), orbit_pruning=True)
-    out = dfs_run(group, search_state(group, kind, k, first.best + 1 if first else None),
+    davenport = len(first.witness) + 1 if first else None
+    out = dfs_run(group, search_state(group, kind, k, davenport),
                   budget=budget, orbit_pruning=orbit_pruning, resume=resume,
                   restrict_prefix=anchor + list(restrict_prefix or ()),
                   translations=bool(anchor))
@@ -365,13 +368,11 @@ def compute(group: Group, kind: str, k: int | None = None,
         out.stats.seconds += first.stats.seconds
         out.stats.slack_prunes += first.stats.slack_prunes
     witness = Sequence.from_indices(group, out.witness) if out.witness is not None else None
-    if witness is not None and (len(witness) != out.best or has_property(witness, kind, k)):
+    if witness is not None and has_property(witness, kind, k):
         raise InvalidInputError(
             f"search witness fails re-verification for {kind} over {group.label()}")
-    return InvariantResult(group, kind, out.best + 1, "search",
-                           k=k if kind == KIND_DK else None, witness=witness,
-                           stats=out.stats, status=out.status,
-                           checkpoint=out.checkpoint)
+    return InvariantResult(group, kind, len(out.witness) + 1, "search", k=k, witness=witness,
+                           stats=out.stats, status=out.status, checkpoint=out.checkpoint)
 
 
 # ---------------------------------------------------------------------------

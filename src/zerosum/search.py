@@ -54,7 +54,6 @@ class SearchStats:
 
 @record
 class DfsOutcome:
-    best: int
     witness: list | None
     stats: SearchStats
     status: str                      # "complete" | "partial"
@@ -355,7 +354,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     later test.
 
     A push is cut, with its subtree, when ``len(path) + state.slack(last,
-    run)`` is below the goal: ``best + 1`` in maximize mode,
+    run)`` is below the goal: one past the witness length in maximize mode,
     ``target_length`` in enumerate mode.  The state bounds how many terms
     could still follow a path that ends in ``run`` copies of ``last``, the
     element just pushed (a bound of None cuts nothing).  D bounds them by
@@ -365,7 +364,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     least ``last``, and an element that cannot be pushed now never can be
     later, since the subsum table only grows, so at most the sum of
     cap(h) - mult(h) over the pushable h >= last terms follow.  The cut
-    keeps the witness: no tuple in a cut subtree is longer than ``best``,
+    keeps the witness: no tuple in a cut subtree is longer than the witness,
     and the first tuple of that length was met before it.  Unlike the
     orbit rules it is sound for counts: no tuple in a cut subtree has
     ``target_length`` terms, so an enumeration emits the same tuples in
@@ -383,7 +382,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
     if not maximize and target_length == 0:
         if emit is not None:
             emit(())
-        return DfsOutcome(0, None, SearchStats(), "complete")
+        return DfsOutcome(None, SearchStats(), "complete")
 
     best = 0
     witness = [] if maximize else None
@@ -521,7 +520,7 @@ def dfs_run(group: Group, state, *, target_length=None, emit=None,
         cursor = g
 
     stats = SearchStats(nodes, time.perf_counter() - started, slack_prunes)
-    return DfsOutcome(best, witness, stats, status, checkpoint)
+    return DfsOutcome(witness, stats, status, checkpoint)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,17 @@ def test_resume_rejects_other_job(capsys, tmp_path):
     assert code == 64
 
 
+def test_constant_refuses_k_outside_dk(capsys, tmp_path):
+    # a stored k would make the resume of the same D search differ in k
+    ck = tmp_path / "ck.json"
+    code = main(["constant", "--group", "2,4,4", "--kind", "d", "--k", "3",
+                 "--budget-nodes", "100", "--checkpoint", str(ck)])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "takes no k" in captured.err
+    assert not ck.exists()
+
+
 def test_resume_rejects_other_orbit_pruning(capsys, tmp_path):
     ck = tmp_path / "ck.json"
     code, _ = run_cli(["constant", "--group", "2,2,8", "--kind", "d",
@@ -492,3 +503,22 @@ def test_threads_produce_identical_result(capsys):
         assert code == 0
         a, b = json.loads(seq_out)["result"], json.loads(par_out)["result"]
         assert (a["value"], a["witness"]) == (b["value"], b["witness"]), args
+
+
+def test_threads_without_orbit_pruning_split_over_every_element(capsys):
+    args = ["constant", "--group", "2,2,2", "--kind", "d", "--no-orbit-pruning"]
+    code, seq_out = run_cli(args, capsys)
+    assert code == 0
+    code, par_out = run_cli(args + ["--threads", "2"], capsys)
+    assert code == 0
+    a, b = json.loads(seq_out)["result"], json.loads(par_out)["result"]
+    assert (b["value"], b["witness"]) == (a["value"], a["witness"])
+    assert a["value"] == 4                  # D(C2^3)
+
+
+def test_threads_merge_a_partial_part_as_partial(capsys):
+    code, out = run_cli(["constant", "--group", "2,2,4", "--kind", "eta", "--threads", "2",
+                         "--budget-nodes", "3"], capsys)
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert (result["status"], result["match"]) == ("partial", None)

@@ -23,6 +23,7 @@ from zerosum import (
     subgroup_generated_by,
     sums_of_length,
 )
+from zerosum import engine
 from zerosum.engine import (_iter_minimal_zero_sums, _reach_masks, extract_lex_smallest,
                             lifts_disjoint_count)
 from zerosum.errors import CapacityError
@@ -332,9 +333,14 @@ def test_extract_precondition_errors():
     with pytest.raises(InvalidInputError):
         # pilot not a subsequence
         extract_exp_length_zero_sum(s, Sequence.from_indices(g, [5, 5]), g.zero(), 8)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="for j=1$"):
         # j*h never a subsum of the pilot
         extract_exp_length_zero_sum(s, Sequence.from_indices(g, [1]), g.element(2), 8)
+    c4 = make_group([4])
+    with pytest.raises(InvalidInputError, match="for j=2$"):
+        # 1*2 is the term 2, but 2*2 = 0 is not 1 + 2: the first failing j is 2
+        extract_exp_length_zero_sum(Sequence.from_indices(c4, [1, 2] + [3] * 5),
+                                    Sequence.from_indices(c4, [1, 2]), c4.element(2), 4)
     with pytest.raises(InvalidInputError):
         # sequence too short
         extract_exp_length_zero_sum(Sequence.from_indices(g, [1] * 4),
@@ -346,6 +352,36 @@ def test_extract_precondition_errors():
             Sequence.from_terms(big, [(big.element([0, 1]), 32)]),
             Sequence.from_terms(big, [(big.element([0, 1]), 2)]),
             big.element([0, 1]), 17)
+
+
+def test_extraction_and_partition_build_one_table_per_multiset(monkeypatch):
+    """The extraction builds one suffix table of the shifted pilot, which
+    both checks the premise and yields the pilot part, and one of the
+    rest; the partition builds one per block, whose zero test and walk
+    share it, plus one for the zero test that finds no block."""
+    built = []
+    suffix_tables = engine._suffix_tables
+
+    def counted(*args):
+        built.append(args[2])
+        return suffix_tables(*args)
+
+    monkeypatch.setattr(engine, "_suffix_tables", counted)
+    c4 = make_group([4])
+    # the rest (2)(3) has no zero-sum, so all four terms come from the pilot
+    res = extract_exp_length_zero_sum(Sequence.from_indices(c4, [0] * 5 + [2, 3]),
+                                      Sequence.from_terms(c4, [(0, 5)]), c4.zero(), 4)
+    assert res == Sequence.from_terms(c4, [(0, 4)])
+    assert built == [5, 2]
+
+    g244 = make_group([2, 4, 4])
+    h = subgroup_generated_by(g244, [g244.element([0, 2, 0]), g244.element([0, 0, 2])])
+    rng = random.Random(29)
+    for _ in range(20):
+        built.clear()
+        s = random_sequence(rng, g244, 12)
+        part = inductive_partition(s, h)
+        assert len(built) == len(part.blocks) + (len(part.tail) > 0)
 
 
 def test_extract_short_zero_sum_free_small_exhaustive():

@@ -202,7 +202,7 @@ def test_property_d_reports_the_first_sequence_that_is_no_power(monkeypatch, sta
 
     def enumerate_crafted(g, budget):
         assert g == group and budget is None
-        return squares + bad, DfsOutcome(8, None, stats, status)
+        return squares + bad, DfsOutcome(None, stats, status)
 
     monkeypatch.setattr(extremal, "enumerate_s_extremal", enumerate_crafted)
     report = check_property_d(3)
@@ -213,14 +213,21 @@ def test_property_d_reports_the_first_sequence_that_is_no_power(monkeypatch, sta
 
 
 def test_stability_small():
+    def stable(factors, kind):
+        group = make_group(factors)
+        enumerate_extremal = enumerate_eta_extremal if kind == "eta" else enumerate_s_extremal
+        sequences, out = enumerate_extremal(group)
+        assert out.status == "complete"
+        return check_stability(group, kind, sequences=sequences).holds
+
+    assert stable([4], "eta")
     c4 = make_group([4])
-    assert check_stability(c4, "eta").holds
     one, three = Sequence.from_terms(c4, [(1, 3)]), Sequence.from_terms(c4, [(3, 3)])
     assert len(one.gcd(three)) == 0
 
-    assert check_stability(make_group([2]), "eta").holds
-    assert check_stability(make_group([2, 4]), "eta").holds
-    assert check_stability(make_group([2, 4]), "s").holds
+    assert stable([2], "eta")
+    assert stable([2, 4], "eta")
+    assert stable([2, 4], "s")
 
 
 def test_stability_rejects_fabricated_near_pair():

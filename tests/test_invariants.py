@@ -78,6 +78,8 @@ def test_formula_oracle_bad_kind():
         formula_oracle(make_group([5]), "dk")
     with pytest.raises(InvalidInputError):
         formula_oracle(make_group([5]), "nope")
+    with pytest.raises(InvalidInputError, match="takes no k"):
+        formula_oracle(make_group([5]), "d", 3)
 
 
 @pytest.mark.parametrize("factors,expect", [
@@ -247,7 +249,8 @@ def test_compute_dispatch():
     assert compute(g, "d").value == 4
     assert compute(g, "dk", k=2).value == 8
     seq = Sequence.from_indices(g, [1])
-    for kind, k in (("dk", None), ("dk", 0), ("bogus", None)):
+    # only dk takes a k
+    for kind, k in (("dk", None), ("dk", 0), ("bogus", None), ("d", 3), ("eta", 1), ("s", 2)):
         with pytest.raises(InvalidInputError):
             compute(g, kind, k)
         with pytest.raises(InvalidInputError):
@@ -384,8 +387,8 @@ def test_open_mask_skips_exactly_the_refused_pushes(factors, kind, k):
                      **anchor)
     wrapped = CountedState(search_state(group, kind, k, davenport))
     unmasked = dfs_run(group, wrapped, orbit_pruning=True, **anchor)
-    assert (masked.best, masked.witness, masked.stats.slack_prunes) == \
-        (unmasked.best, unmasked.witness, unmasked.stats.slack_prunes)
+    assert (masked.witness, masked.stats.slack_prunes) == \
+        (unmasked.witness, unmasked.stats.slack_prunes)
     assert masked.stats.nodes == wrapped.accepted < unmasked.stats.nodes
 
 
@@ -530,7 +533,22 @@ def test_dk_search_without_reach_tables_keeps_its_tree(monkeypatch):
     assert state.levels == 0
     wrapped = CountedState(state)
     plain = dfs_run(group, wrapped, orbit_pruning=True)
-    assert (tabled.best, tabled.witness, tabled.stats.slack_prunes) == \
-        (plain.best, plain.witness, plain.stats.slack_prunes)
-    assert plain.best + 1 == 14
+    assert (tabled.witness, tabled.stats.slack_prunes) == \
+        (plain.witness, plain.stats.slack_prunes)
+    assert len(plain.witness) + 1 == 14
     assert tabled.stats.nodes == wrapped.accepted < plain.stats.nodes
+
+
+def test_dk_open_past_the_table_cap_masks_nothing(monkeypatch):
+    """Past the table cap open() gives no mask at count k - 1, and below
+    it every push is open: the bare dk state's search tries every push the
+    wrapped state's search tries, and finds its value, witness and slack
+    prunes."""
+    group = make_group([2, 2, 2])
+    monkeypatch.setattr(invariants, "DK_REACH_MAX_BITS", 1)
+    # D(C2^3) = 4 bounds the depth
+    bare = dfs_run(group, search_state(group, "dk", 3, 4), orbit_pruning=True)
+    wrapped = dfs_run(group, CountedState(search_state(group, "dk", 3, 4)), orbit_pruning=True)
+    assert len(bare.witness) + 1 == formula_oracle(group, "dk", 3) == 9
+    assert (bare.witness, bare.stats.nodes, bare.stats.slack_prunes) == \
+        (wrapped.witness, wrapped.stats.nodes, wrapped.stats.slack_prunes)
